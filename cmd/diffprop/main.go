@@ -149,11 +149,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	e, err := diffprop.New(c, nil)
-	if err != nil {
-		fatal(err)
-	}
-	w := e.Circuit
+	// The working two-input circuit every fault site refers to: the same
+	// decomposition each campaign engine (and shard worker) builds.
+	w := c.Decompose2()
 	if *workerShard == "" {
 		// Workers keep stdout clean: it is the supervision protocol pipe.
 		fmt.Printf("circuit: %s (analyzed as %d two-input gates, %d PIs, %d POs)\n\n",
@@ -271,6 +269,14 @@ func main() {
 		}
 		if *verbose {
 			fmt.Fprintln(os.Stderr, study.Stats)
+		}
+		// Campaigns build their own engines; this one serves only -dot and
+		// the per-fault test-vector column.
+		var e *diffprop.Engine
+		if *dotOut != "" || !*summary {
+			if e, err = diffprop.New(c, nil); err != nil {
+				fatal(err)
+			}
 		}
 		if *dotOut != "" && len(fs) > 0 {
 			res := e.StuckAt(fs[0])

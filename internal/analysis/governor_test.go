@@ -83,8 +83,16 @@ func TestGovernorDisabledCases(t *testing.T) {
 // the progress guarantee), the park counters surface in CampaignStats, and
 // the records are identical to an ungoverned run.
 func TestGovernorParksUnderPressure(t *testing.T) {
-	c := circuits.MustGet("c499s")
-	fs := faults.CheckpointStuckAts(c.Decompose2())
+	// Workers are admitted between guided-size claims, so a worker other
+	// than 0 can park only if it comes back for another claim before the
+	// fault set drains. On a few expensive faults of skewed cost, worker 0
+	// sometimes drains the set while the others are still inside their
+	// first blocks; many cheap faults of even cost always bring them back.
+	c := circuits.MustGet("c95s")
+	var fs []faults.StuckAt
+	for i := 0; i < 20; i++ {
+		fs = append(fs, faults.CheckpointStuckAts(c.Decompose2())...)
+	}
 	reference, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

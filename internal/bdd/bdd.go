@@ -4,7 +4,9 @@
 // negation is a tagged bit on the Ref, so Not is free, a function and its
 // complement share one node set, and the unique table stores roughly half
 // the nodes of the plain representation. All binary operations are
-// normalized ITE standard triples served by one computed cache.
+// normalized ITE standard triples served by one computed cache; the one
+// four-operand operation, DiffAnd (Difference Propagation's AND/OR gate
+// rule), recurses on its own and keeps a smaller cache beside it.
 //
 // The node store is shared: a Manager is a lightweight view (budget,
 // statistics, sat-count cache, logger) over a lock-striped concurrent
@@ -68,10 +70,10 @@ const (
 )
 
 // CacheStats counts hits and misses of the computed cache, attributed to
-// the operation family that issued them: And/Or/Xor feed the Apply
-// counters, Ite/Compose/VectorCompose the Ite counters. Not is free under
-// complement edges and never probes a cache, so its counters stay zero
-// (kept for layout compatibility with aggregated historical stats). The
+// the operation family that issued them: And/Or/Xor/DiffAnd feed the
+// Apply counters, Ite/Compose/VectorCompose the Ite counters. Not is free
+// under complement edges and never probes a cache, so its counters stay
+// zero (kept for layout compatibility with aggregated historical stats). The
 // counters are per-view and unsynchronized; each worker reads only its
 // own.
 type CacheStats struct {
@@ -176,9 +178,9 @@ const (
 // operations (ops <= 0 leaves the count unlimited) or passes the deadline
 // (zero time disables the clock). Arming resets the charged operation
 // counter, so callers arm once per unit of work (per fault). One
-// operation is charged per ITE step — a machine-independent proxy for the
-// nodes an analysis builds and visits that stays meaningful when the
-// computed cache is shared and warm.
+// operation is charged per ITE or DiffAnd step — a machine-independent
+// proxy for the nodes an analysis builds and visits that stays
+// meaningful when the computed cache is shared and warm.
 func (m *Manager) SetBudget(ops int64, deadline time.Time) {
 	m.budgetOps = ops
 	m.deadline = deadline
@@ -328,8 +330,9 @@ func (m *Manager) Views() int { return int(m.t.views.Load()) }
 // GC/sift generations the shared store has gone through.
 func (m *Manager) TableEpoch() uint64 { return m.t.epoch.Load() }
 
-// setCacheBits pins the computed cache to 1<<bits entries and disables
-// automatic growth (test hook: tiny caches force collision evictions).
+// setCacheBits pins the ITE cache to 1<<bits entries (the DiffAnd cache
+// to its usual fraction of that) and disables automatic growth (test
+// hook: tiny caches force collision evictions).
 func (m *Manager) setCacheBits(bits uint) {
 	m.t.growMu.Lock()
 	m.t.noGrow = true

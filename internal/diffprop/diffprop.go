@@ -17,7 +17,10 @@
 // (output inversion leaves a difference unchanged). Gates with more than
 // two inputs are decomposed into two-input trees first, exactly as §3
 // prescribes, and — in the manner of selective trace — a gate is only
-// evaluated while some input difference is non-zero.
+// evaluated while some input difference is non-zero. With one non-zero
+// input difference the AND/OR rule is a single And; with two, where
+// fan-out reconverges, it is one call of the fused bdd.Manager.DiffAnd
+// kernel, which builds the ring-sum without its intermediate products.
 package diffprop
 
 import (
@@ -934,11 +937,46 @@ func (e *Engine) pinDelta(sd seeds, delta []bdd.Ref, id, pin, fanin int) bdd.Ref
 	return delta[fanin]
 }
 
+// gateDelta applies Table 1 at one gate whose input pins carry the
+// differences da and db (db is ignored for single-input gates). It
+// reports whether the gate counted as evaluated: a two-input gate with a
+// non-zero input difference. Both propagation strategies call it, so
+// they issue the same BDD operations in the same order.
+func (e *Engine) gateDelta(g *netlist.Gate, da, db bdd.Ref) (bdd.Ref, bool) {
+	m := e.m
+	var fa, fb bdd.Ref
+	switch g.Type {
+	case netlist.Not, netlist.Buff:
+		return da, false // output inversion leaves a difference unchanged
+	case netlist.Xor, netlist.Xnor:
+	case netlist.And, netlist.Nand:
+		fa, fb = e.good[g.Fanin[0]], e.good[g.Fanin[1]]
+	case netlist.Or, netlist.Nor:
+		fa, fb = m.Not(e.good[g.Fanin[0]]), m.Not(e.good[g.Fanin[1]])
+	default:
+		panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
+	}
+	// ΔC = fA·ΔB ⊕ fB·ΔA ⊕ ΔA·ΔB for AND/OR (ΔA ⊕ ΔB for XOR): one And
+	// when a single input carries a difference, the fused kernel when both
+	// do.
+	switch {
+	case da == bdd.False && db == bdd.False:
+		return bdd.False, false // selective trace: no difference reaches this gate
+	case g.Type == netlist.Xor || g.Type == netlist.Xnor:
+		return m.Xor(da, db), true
+	case da == bdd.False:
+		return m.And(fa, db), true
+	case db == bdd.False:
+		return m.And(fb, da), true
+	}
+	return m.DiffAnd(fa, fb, da, db), true
+}
+
 // propagateSeedsWorklist is the cone-restricted propagation: it ORs the
 // packed reachability rows of every seed site into a merged-cone bitset
-// and walks only those nets, in ascending id (= topological) order. Gate
-// bodies are identical to the full scan's; per-fault walk cost drops from
-// O(|circuit|) to O(|cone|).
+// and walks only those nets, in ascending id (= topological) order. Both
+// strategies evaluate gates through gateDelta; per-fault walk cost drops
+// from O(|circuit|) to O(|cone|).
 func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 	var clk time.Time
 	if e.phaseClock {
@@ -1021,45 +1059,14 @@ func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 					continue
 				}
 			}
-			var out bdd.Ref
-			switch g.Type {
-			case netlist.Not, netlist.Buff:
-				out = e.pinDelta(sd, delta, id, 0, g.Fanin[0])
-				if out == bdd.False {
-					continue
-				}
-			case netlist.Xor, netlist.Xnor:
-				da := e.pinDelta(sd, delta, id, 0, g.Fanin[0])
-				db := e.pinDelta(sd, delta, id, 1, g.Fanin[1])
-				if da == bdd.False && db == bdd.False {
-					continue // selective trace: no difference reaches this gate
-				}
+			da := e.pinDelta(sd, delta, id, 0, g.Fanin[0])
+			var db bdd.Ref
+			if len(g.Fanin) > 1 {
+				db = e.pinDelta(sd, delta, id, 1, g.Fanin[1])
+			}
+			out, ok := e.gateDelta(g, da, db)
+			if ok {
 				evaluated++
-				out = m.Xor(da, db)
-			case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-				da := e.pinDelta(sd, delta, id, 0, g.Fanin[0])
-				db := e.pinDelta(sd, delta, id, 1, g.Fanin[1])
-				if da == bdd.False && db == bdd.False {
-					continue // selective trace: no difference reaches this gate
-				}
-				evaluated++
-				fa, fb := e.good[g.Fanin[0]], e.good[g.Fanin[1]]
-				if g.Type == netlist.Or || g.Type == netlist.Nor {
-					fa, fb = m.Not(fa), m.Not(fb)
-				}
-				// ΔC = fA·ΔB ⊕ fB·ΔA ⊕ ΔA·ΔB, with the usual short cuts when
-				// one input carries no difference.
-				switch {
-				case da == bdd.False:
-					out = m.And(fa, db)
-				case db == bdd.False:
-					out = m.And(fb, da)
-				default:
-					t := m.Xor(m.And(fa, db), m.And(fb, da))
-					out = m.Xor(t, m.And(da, db))
-				}
-			default:
-				panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
 			}
 			if out != bdd.False {
 				delta[id] = out
@@ -1099,7 +1106,7 @@ func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 
 // propagateSeedsFullScan is the historical O(|circuit|) propagation: every
 // gate is examined in index order and selective trace skips those with
-// all-False input differences. Kept verbatim as the differential-testing
+// all-False input differences. Kept as the differential-testing
 // reference for the worklist (see SetFullScanReference).
 func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 	var clk time.Time
@@ -1152,43 +1159,14 @@ func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 			}
 			return bdd.False
 		}
-		var out bdd.Ref
-		switch g.Type {
-		case netlist.Not, netlist.Buff:
-			out = din(0)
-			if out == bdd.False {
-				continue
-			}
-		case netlist.Xor, netlist.Xnor:
-			da, db := din(0), din(1)
-			if da == bdd.False && db == bdd.False {
-				continue // selective trace: no difference reaches this gate
-			}
+		da := din(0)
+		var db bdd.Ref
+		if len(g.Fanin) > 1 {
+			db = din(1)
+		}
+		out, ok := e.gateDelta(&g, da, db)
+		if ok {
 			evaluated++
-			out = m.Xor(da, db)
-		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			da, db := din(0), din(1)
-			if da == bdd.False && db == bdd.False {
-				continue // selective trace: no difference reaches this gate
-			}
-			evaluated++
-			fa, fb := e.good[g.Fanin[0]], e.good[g.Fanin[1]]
-			if g.Type == netlist.Or || g.Type == netlist.Nor {
-				fa, fb = m.Not(fa), m.Not(fb)
-			}
-			// ΔC = fA·ΔB ⊕ fB·ΔA ⊕ ΔA·ΔB, with the usual short cuts when
-			// one input carries no difference.
-			switch {
-			case da == bdd.False:
-				out = m.And(fa, db)
-			case db == bdd.False:
-				out = m.And(fb, da)
-			default:
-				t := m.Xor(m.And(fa, db), m.And(fb, da))
-				out = m.Xor(t, m.And(da, db))
-			}
-		default:
-			panic(fmt.Sprintf("diffprop: unexpected gate type %v", g.Type))
 		}
 		if out != bdd.False {
 			delta[id] = out

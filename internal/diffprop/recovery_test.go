@@ -38,6 +38,25 @@ func scalars(r Result) Result {
 	return r
 }
 
+// heavyFault returns the index of the first fault whose analysis grows
+// ref's node table by more than half its live good set: a fault that must
+// trip the 1.5x headroom floor NodeLimit=1 arms. ref must be a fresh
+// engine. Nodes left by earlier faults can only shrink a later fault's
+// measured growth, so the fault trips the floor on a fresh engine too.
+func heavyFault(t *testing.T, ref *Engine, fs []faults.StuckAt) int {
+	t.Helper()
+	live := ref.m.NodeCount()
+	for i, f := range fs {
+		before := ref.m.NodeCount()
+		ref.StuckAt(f)
+		if ref.m.NodeCount()-before > live/2 {
+			return i
+		}
+	}
+	t.Fatal("no fault outgrows the headroom floor; the ladder needs a heavier circuit")
+	return -1
+}
+
 func TestNodeLimitAbortEntersLadder(t *testing.T) {
 	c := circuits.MustGet("alu181")
 	e, err := New(c, nil)
@@ -46,23 +65,26 @@ func TestNodeLimitAbortEntersLadder(t *testing.T) {
 	}
 	fs := faults.CheckpointStuckAts(e.Circuit)
 
-	// References come from a second engine so the abort engine's node table
-	// holds only the good functions when the watermark is armed (queries
-	// leave garbage that inflates the 1.5x headroom floor).
+	// The heavy fault and the references come from a second engine so the
+	// abort engine's node table holds only the good functions when the
+	// watermark is armed (queries leave garbage that inflates the 1.5x
+	// headroom floor).
 	ref, err := New(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]Result, 4)
-	for i := range want {
-		want[i] = scalars(ref.StuckAt(fs[i]))
+	heavy := heavyFault(t, ref, fs)
+	check := []int{heavy, 0, 1, 2, 3}
+	want := make([]Result, len(check))
+	for i, k := range check {
+		want[i] = scalars(ref.StuckAt(fs[k]))
 	}
 
-	// NodeLimit=1 arms the minimum possible watermark (1.5x live), which a
-	// real propagation on the ALU must blow.
+	// NodeLimit=1 arms the minimum possible watermark (1.5x live), which
+	// the heavy fault's propagation must blow.
 	e.SetRecovery(Recovery{NodeLimit: 1})
-	if _, aborted := analyzeLimited(t, e, fs[0]); !aborted {
-		t.Fatal("NodeLimit=1 did not abort the analysis")
+	if _, aborted := analyzeLimited(t, e, fs[heavy]); !aborted {
+		t.Fatalf("NodeLimit=1 did not abort the analysis of fault %d", heavy)
 	}
 	if got := e.Stats().NodesReclaimed; got <= 0 {
 		t.Fatalf("ladder GC reclaimed %d nodes after an abort, want > 0", got)
@@ -71,9 +93,9 @@ func TestNodeLimitAbortEntersLadder(t *testing.T) {
 	// After the ladder, an unconstrained engine must reproduce the
 	// reference results exactly.
 	e.SetRecovery(Recovery{})
-	for i := range want {
-		if got := scalars(e.StuckAt(fs[i])); !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("fault %d after ladder: %+v != reference %+v", i, got, want[i])
+	for i, k := range check {
+		if got := scalars(e.StuckAt(fs[k])); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("fault %d after ladder: %+v != reference %+v", k, got, want[i])
 		}
 	}
 }
@@ -109,27 +131,27 @@ func TestRecoverSiftRungFiresOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scalars(ref.StuckAt(fs[0]))
+	heavy := heavyFault(t, ref, fs)
+	want := scalars(ref.StuckAt(fs[heavy]))
 
 	// Watermark 1 guarantees the post-GC live set still exceeds it, so the
 	// sift rung must fire on the first recovery and be skipped afterwards.
 	e.SetRecovery(Recovery{NodeLimit: 1, SiftPasses: DefaultSiftPasses})
-	if _, aborted := analyzeLimited(t, e, fs[0]); !aborted {
-		t.Fatal("NodeLimit=1 did not abort the analysis")
+	if _, aborted := analyzeLimited(t, e, fs[heavy]); !aborted {
+		t.Fatalf("NodeLimit=1 did not abort the analysis of fault %d", heavy)
 	}
 	if got := e.Stats().Sifts; got != 1 {
 		t.Fatalf("sift rung ran %d times after first recovery, want 1", got)
 	}
-	// Run the remaining faults; however many more abort, the sift rung must
-	// never fire again on this engine's fixed good set.
-	more := 0
-	for _, f := range fs[1:] {
-		if _, aborted := analyzeLimited(t, e, f); aborted {
-			more++
+	// Abort more analyses; however many, the sift rung must never fire
+	// again on this engine's fixed good set. The sifted order may keep
+	// every other fault under the floor, so the aborts are forced through
+	// the chaos seam, which enters the same ladder.
+	for _, f := range fs[:3] {
+		e.ArmChaosAbort(1, bdd.ErrNodeLimit)
+		if _, aborted := analyzeLimited(t, e, f); !aborted {
+			t.Fatal("a forced node-limit abort did not fire; the once-only guard went untested")
 		}
-	}
-	if more == 0 {
-		t.Fatal("no further fault aborted; the once-only guard went untested")
 	}
 	if got := e.Stats().Sifts; got != 1 {
 		t.Fatalf("sift rung re-ran on a fixed good set: %d runs, want 1", got)
@@ -137,7 +159,7 @@ func TestRecoverSiftRungFiresOnce(t *testing.T) {
 
 	// The reordered engine must still compute exact results.
 	e.SetRecovery(Recovery{})
-	if got := scalars(e.StuckAt(fs[0])); !reflect.DeepEqual(got, want) {
+	if got := scalars(e.StuckAt(fs[heavy])); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-sift result %+v != reference %+v", got, want)
 	}
 	// Clones inherit the sifted order and its once-only guard.

@@ -66,13 +66,24 @@ func (l *ExecLauncher) Launch(ctx context.Context, sh Shard) (Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supervise: worker stdin pipe: %w", err)
 	}
-	stdout, err := cmd.StdoutPipe()
+	// A plain os.Pipe rather than cmd.StdoutPipe: Wait closes a StdoutPipe
+	// as soon as the process exits, which can drop the final done line of
+	// a worker that exits right after writing it (the exited goroutine
+	// below calls Wait at once). This read end is closed by the reader
+	// alone, after EOF.
+	stdout, childOut, err := os.Pipe()
 	if err != nil {
 		stdin.Close()
 		return nil, fmt.Errorf("supervise: worker stdout pipe: %w", err)
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = childOut
+	err = cmd.Start()
+	// The child holds its own copy of the write end; ours must go, or the
+	// reader would never see EOF.
+	childOut.Close()
+	if err != nil {
 		stdin.Close()
+		stdout.Close()
 		return nil, fmt.Errorf("supervise: launch worker for shard %s: %w", sh.Range(), err)
 	}
 	w := &execWorker{cmd: cmd, stdin: stdin, events: readMessages(stdout, l.BadLine)}

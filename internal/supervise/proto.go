@@ -159,13 +159,15 @@ func WatchStdin(r io.Reader, onOrphan func()) {
 }
 
 // readMessages parses the worker's stdout into a message channel, closed
-// when the pipe closes. Unparseable lines are delivered as an error via
-// bad (worker prints, debug junk — the supervisor logs and ignores them;
-// a version mismatch surfaces the same way).
-func readMessages(r io.Reader, bad func(error)) <-chan Msg {
+// when the pipe closes; r is closed once read to the end. Unparseable
+// lines are delivered as an error via bad (worker prints, debug junk —
+// the supervisor logs and ignores them; a version mismatch surfaces the
+// same way).
+func readMessages(r io.ReadCloser, bad func(error)) <-chan Msg {
 	ch := make(chan Msg, 16)
 	go func() {
 		defer close(ch)
+		defer r.Close()
 		sc := bufio.NewScanner(r)
 		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 		for sc.Scan() {

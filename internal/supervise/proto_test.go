@@ -93,7 +93,7 @@ func TestReadMessagesSkipsJunkAndCloses(t *testing.T) {
 	input += buf.String() + "\n{\"v\":99,\"type\":\"hb\"}\n"
 
 	var bad []error
-	ch := readMessages(strings.NewReader(input), func(err error) { bad = append(bad, err) })
+	ch := readMessages(io.NopCloser(strings.NewReader(input)), func(err error) { bad = append(bad, err) })
 	var got []Msg
 	for m := range ch {
 		got = append(got, m)
