@@ -18,7 +18,10 @@
 // caches are safe for concurrent use. Every canonical function is built
 // once, campaign-wide. CampaignConfig.Isolate restores the historical
 // diffprop.Engine.Clone path (a structural manager-to-manager copy per
-// worker) for isolation or A/B measurement.
+// worker) for isolation or A/B measurement. Sharing wins on memory, not
+// speed: on two workers over the first 116 C1908s faults, cmd/bddbench
+// measures the shared table at 0.98-1.02x the clones' throughput on ~40%
+// less peak heap (EXPERIMENTS.md, caveat 12).
 package analysis
 
 import (
@@ -90,9 +93,10 @@ type CampaignConfig struct {
 	// pre-shared-table behavior) instead of a shared view onto the
 	// prototype's node store. Sharing is the default: it builds every
 	// canonical function once and keeps peak heap flat as workers are
-	// added. Isolation trades that for complete independence between
-	// workers — useful as an A/B baseline and when a workload's recovery
-	// ladders thrash the shared table.
+	// added, at the clones' throughput (two C1908s workers: 0.98-1.02x,
+	// ~40% less peak heap; see the package doc). Isolation trades that for
+	// complete independence between workers — useful as an A/B baseline
+	// and when a workload's recovery ladders thrash the shared table.
 	Isolate bool
 	// FallbackVectors and FallbackSeed parameterize the degradation
 	// estimate (zero selects DefaultFallbackVectors / DefaultFallbackSeed).

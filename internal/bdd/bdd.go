@@ -234,15 +234,16 @@ func (m *Manager) OpsCharged() int64 { return m.ops }
 
 // TableLoad reports the unique table's occupancy: resident nodes and
 // hash-bucket capacity summed over all shards. nodes/buckets is the load
-// factor the timeline sampler plots. Safe for concurrent use (briefly
-// locks each shard in turn); the two sums are each internally consistent
-// per shard but not across a concurrent resize — fine for telemetry.
+// factor the timeline sampler plots. Safe for concurrent use: it briefly
+// takes each shard's insert mutex in turn, so a shard's node count and
+// its published bucket array are read together; the sums across shards
+// are not a single snapshot — fine for telemetry.
 func (m *Manager) TableLoad() (nodes, buckets int64) {
 	for i := range m.t.shards {
 		s := &m.t.shards[i]
 		s.mu.Lock()
 		nodes += int64(s.count)
-		buckets += int64(len(s.buckets))
+		buckets += int64(len(*s.buckets.Load()))
 		s.mu.Unlock()
 	}
 	return nodes, buckets

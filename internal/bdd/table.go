@@ -2,20 +2,44 @@
 //
 // A table owns the unique table, the node storage and the operation cache
 // for one BDD universe. Many Manager views (created with Share) can use a
-// single table concurrently: find-or-insert is lock-striped across
-// nShards shards, node payloads live in immutable-once-published chunks
-// reachable through an atomically swapped chunk directory, and the
-// computed (ITE and DiffAnd) caches are seqlock-validated direct-mapped
-// arrays that readers probe without locks and writers update with a
-// CAS-guarded sequence protocol. Lookups of published nodes therefore
-// never contend; only simultaneous inserts that land in the same shard
-// serialize.
+// single table concurrently. The unique table is split into nShards
+// shards, each a chained hash table guarded by its own mutex for writes:
+//
+//   - Find first walks the node's hash chain with no lock. Bucket heads
+//     are an atomically published array read with atomic loads, and each
+//     node carries its chain link as an atomic word beside its payload,
+//     so a hit (most lookups find an existing node) costs only atomic
+//     loads.
+//   - A miss takes the shard mutex, walks the chain again, and only then
+//     checks the node watermark and inserts: payload and link are written
+//     first, then the bucket head is published.
+//   - Growth relinks every node into a doubled bucket array under the
+//     mutex and then publishes the new array; until then the new array is
+//     private, so its heads are written with plain stores, and only the
+//     links of live nodes need atomic ones. A lock-free walk racing the
+//     relink may stray into another chain and miss; a miss always falls
+//     back to the locked path, so the only cost is a retry. Links always
+//     point to a lower local index (inserts prepend the newest node;
+//     relinking visits nodes in index order), so every walk ends.
+//
+// Node payloads live in immutable-once-published chunks reachable through
+// an atomically swapped chunk directory. The computed (ITE and DiffAnd)
+// caches are seqlock-validated direct-mapped arrays that readers probe
+// without locks and writers update with a CAS-guarded sequence protocol.
+// Only simultaneous inserts that land in the same shard serialize.
 //
 // Every cross-goroutine handoff of a Ref passes through a synchronizing
-// edge — the shard mutex that published its node, an atomic computed-cache
-// entry, or the caller's own pre-start synchronization — so the plain
-// reads of node payloads are race-free: a node is fully written before the
-// edge that makes its Ref visible.
+// edge — the atomic bucket head or chain link that published its node, an
+// atomic computed-cache entry, or the caller's own pre-start
+// synchronization — so the plain reads of node payloads are race-free: a
+// node is fully written before the edge that makes its Ref visible.
+//
+// The hot fields are laid out to keep views from invalidating each
+// other's cache lines: each shard's read-mostly pointers (chunk
+// directory, bucket array) sit on a line apart from its insert-hot mutex
+// and count, every shard is padded to whole lines, and the table's
+// per-insert node counter sits on a line apart from the computed-cache
+// pointer that every apply step loads.
 package bdd
 
 import (
@@ -29,37 +53,52 @@ const (
 	nShards   = 1 << shardBits
 	shardMask = nShards - 1
 
-	chunkBits = 9
+	// A chunk holds 256 16-byte nodes, 4 KiB: small tables, one chunk per
+	// shard, stay light, and large ones take a directory entry per chunk.
+	chunkBits = 8
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 
 	// maxShardNodes bounds the per-shard local index so a node id (local
 	// index plus shard tag) and its complement bit always fit in an int32 Ref.
 	maxShardNodes = 1 << 26
+
+	// cacheLine is the padding unit that keeps write-hot fields off the
+	// lines of read-mostly ones (64 bytes on amd64 and most arm64 parts).
+	cacheLine = 64
 )
 
 // node is one BDD node. The then (high) edge is always a regular
 // (non-complemented) ref — the canonical complement-edge restriction —
-// while the else (low) edge may carry the complement bit. Nodes are
-// immutable once published.
+// while the else (low) edge may carry the complement bit. The payload is
+// immutable once published; next, the hash-chain link, changes only when
+// the shard's bucket array grows. At 16 bytes a node never straddles a
+// cache line (chunks are allocated 16-byte aligned), so one miss yields
+// both the payload and the link a lookup needs.
 type node struct {
 	level int32
 	low   Ref
 	high  Ref
+	next  atomic.Int32 // local index + 1 of the next node in the chain; 0 ends it
 }
 
 type nodeChunk [chunkSize]node
 
-// shard is one lock stripe of the unique table. The buckets/next chains
-// are touched only under mu; node payloads are written under mu before
+// shard is one lock stripe of the unique table. Bucket heads and chain
+// links hold a local index plus one, so a zeroed array is empty; they are
+// written only under mu (atomically once visible to readers) and read
+// lock-free with atomic loads. Node payloads are written under mu before
 // their local index is published and are read lock-free afterwards.
 type shard struct {
-	mu      sync.Mutex
-	buckets []int32 // heads of hash chains, local indices, -1 empty
-	mask    uint32
-	next    []int32 // chain links, indexed by local node index
-	count   int32   // nodes stored in this shard
+	// Read on every lookup and node access; swapped only on growth.
 	dir     atomic.Pointer[[]*nodeChunk]
+	buckets atomic.Pointer[[]int32]
+	_       [cacheLine - 16]byte
+
+	// Written on every insert.
+	mu    sync.Mutex
+	count int32 // nodes stored in this shard
+	_     [cacheLine - 12]byte
 }
 
 // node returns the payload of the local index (lock-free; the caller must
@@ -70,16 +109,40 @@ func (s *shard) node(local int32) *node {
 	return &d[local>>chunkBits][local&chunkMask]
 }
 
-// table is the shared state of one BDD universe.
+// find walks the hash chain that starts at head (a bucket head: local
+// index plus one, 0 for an empty bucket) for (level, low, high) and
+// returns the node's local index, or -1. Safe without s.mu: a walk that
+// races a relink may miss a present node, never report an absent one.
+func (s *shard) find(head int32, level int32, low, high Ref) int32 {
+	if head == 0 {
+		return -1
+	}
+	// Loaded after the head, the directory covers every node of the walk:
+	// links only lead to lower indices.
+	d := *s.dir.Load()
+	for v := head; v != 0; {
+		li := v - 1
+		n := &d[li>>chunkBits][li&chunkMask]
+		if n.level == level && n.low == low && n.high == high {
+			return li
+		}
+		v = n.next.Load()
+	}
+	return -1
+}
+
+// table is the shared state of one BDD universe. The shards come first so
+// they start where the allocation does, on a line boundary.
 type table struct {
+	shards [nShards]shard
+
+	// Read on every apply step.
+	cache atomic.Pointer[opCache]
+
 	names   []string
 	nameIdx map[string]int
 	vars    []Ref // vars[i]: regular ref of the (x_i ? false : true) node, i.e. ¬x_i
 
-	shards [nShards]shard
-	count  atomic.Int64 // total nodes, terminals included
-
-	cache  atomic.Pointer[opCache]
 	growMu sync.Mutex // serializes computed-cache growth
 	noGrow bool       // test hook: pin the cache size
 
@@ -87,17 +150,18 @@ type table struct {
 	// their own satEpoch to invalidate per-view sat-count caches lazily.
 	epoch atomic.Uint64
 	views atomic.Int64
+
+	_     [cacheLine]byte
+	count atomic.Int64 // total nodes, terminals included; added to on every insert
+	_     [cacheLine - 8]byte
 }
 
 func newTable(names []string, nameIdx map[string]int) *table {
 	t := &table{names: names, nameIdx: nameIdx}
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.buckets = make([]int32, 64)
-		for j := range s.buckets {
-			s.buckets[j] = -1
-		}
-		s.mask = uint32(len(s.buckets) - 1)
+		b := make([]int32, 64)
+		s.buckets.Store(&b)
 		empty := []*nodeChunk{}
 		s.dir.Store(&empty)
 	}
@@ -106,11 +170,10 @@ func newTable(names []string, nameIdx map[string]int) *table {
 	// hashed into any bucket.
 	s0 := &t.shards[0]
 	ch := new(nodeChunk)
-	ch[0] = node{level: terminalLevel}
+	ch[0].level = terminalLevel
 	d := []*nodeChunk{ch}
 	s0.dir.Store(&d)
 	s0.count = 1
-	s0.next = []int32{-1}
 	t.count.Store(1)
 	t.cache.Store(newOpCache(minCacheBits))
 	t.views.Store(1)
@@ -133,23 +196,36 @@ func nodeHash(level int32, low, high Ref) uint32 {
 }
 
 // mkRaw finds or inserts the node (level, low, high) — already normalized
-// to a regular high edge — and returns its regular Ref. limit > 0 arms the
+// to a regular high edge — and returns its regular Ref. The lookup runs
+// lock-free; only a miss takes the shard mutex. limit > 0 arms the
 // calling view's node watermark: the insert panics with ErrNodeLimit when
 // the table has already reached it (checked after the lookup, so shared
 // nodes keep resolving under a blown watermark and the panic fires only
 // with the store consistent).
 func (t *table) mkRaw(limit int, level int32, low, high Ref) Ref {
 	h := nodeHash(level, low, high)
-	s := &t.shards[h&shardMask]
+	tag := int32(h & shardMask)
+	s := &t.shards[tag]
+	b := *s.buckets.Load()
+	li := s.find(atomic.LoadInt32(&b[(h>>shardBits)&uint32(len(b)-1)]), level, low, high)
+	if li < 0 {
+		li = t.insert(s, limit, h, level, low, high)
+	}
+	return Ref((li<<shardBits | tag) << 1)
+}
+
+// insert is mkRaw's locked path after a lock-free miss. It walks the
+// chain again under s.mu, since another view may have inserted the node
+// or a relink may have hidden it from the lock-free walk, and otherwise
+// stores and publishes the node. It returns the node's local index.
+func (t *table) insert(s *shard, limit int, h uint32, level int32, low, high Ref) int32 {
 	s.mu.Lock()
-	slot := (h >> shardBits) & s.mask
-	for li := s.buckets[slot]; li >= 0; li = s.next[li] {
-		n := s.node(li)
-		if n.level == level && n.low == low && n.high == high {
-			s.mu.Unlock()
-			id := li<<shardBits | int32(h&shardMask)
-			return Ref(id << 1)
-		}
+	b := *s.buckets.Load()
+	slot := (h >> shardBits) & uint32(len(b)-1)
+	head := b[slot] // heads change only under s.mu
+	if li := s.find(head, level, low, high); li >= 0 {
+		s.mu.Unlock()
+		return li
 	}
 	if limit > 0 && int(t.count.Load()) >= limit {
 		s.mu.Unlock()
@@ -162,44 +238,49 @@ func (t *table) mkRaw(limit int, level int32, low, high Ref) Ref {
 	}
 	d := *s.dir.Load()
 	if int(local>>chunkBits) >= len(d) {
-		nd := make([]*nodeChunk, len(d)+1)
-		copy(nd, d)
-		nd[len(d)] = new(nodeChunk)
+		// append may write the new chunk into spare capacity shared with
+		// published directories; their readers never index past their
+		// own length, and the longer header is published only after.
+		nd := append(d, new(nodeChunk))
 		s.dir.Store(&nd)
 		d = nd
 	}
-	d[local>>chunkBits][local&chunkMask] = node{level: level, low: low, high: high}
-	s.next = append(s.next, s.buckets[slot])
-	s.buckets[slot] = local
+	n := &d[local>>chunkBits][local&chunkMask]
+	n.level, n.low, n.high = level, low, high
+	n.next.Store(head)
+	atomic.StoreInt32(&b[slot], local+1)
 	s.count = local + 1
-	if int(s.count) > len(s.buckets) {
-		s.growLocked()
+	if int(s.count) > len(b) {
+		s.growLocked(b)
 	}
 	s.mu.Unlock()
-	total := t.count.Add(1)
-	t.maybeGrowCache(total)
-	id := local<<shardBits | int32(h&shardMask)
-	return Ref(id << 1)
+	t.maybeGrowCache(t.count.Add(1))
+	return local
 }
 
-// growLocked doubles the shard's bucket array and rehashes its chains.
-// Caller holds s.mu.
-func (s *shard) growLocked() {
-	nb := make([]int32, len(s.buckets)*2)
-	for i := range nb {
-		nb[i] = -1
-	}
-	s.mask = uint32(len(nb) - 1)
+// growLocked relinks every node into a bucket array twice the size of b,
+// the current one, and then publishes it. Caller holds s.mu. Nodes are
+// visited in index order and pushed onto the front of their new chain, so
+// each link still points to a lower index; a link already right for the
+// new chain is not rewritten. The new array is private until published,
+// so its heads take plain stores: atomic ones there cost most of the
+// relink, each a full fence around a cache miss.
+func (s *shard) growLocked(b []int32) {
+	nb := make([]int32, len(b)*2)
+	mask := uint32(len(nb) - 1)
+	d := *s.dir.Load()
 	for li := int32(0); li < s.count; li++ {
-		n := s.node(li)
+		n := &d[li>>chunkBits][li&chunkMask]
 		if n.level == terminalLevel {
 			continue // the terminal is not bucketed
 		}
-		slot := (nodeHash(n.level, n.low, n.high) >> shardBits) & s.mask
-		s.next[li] = nb[slot]
-		nb[slot] = li
+		slot := (nodeHash(n.level, n.low, n.high) >> shardBits) & mask
+		if n.next.Load() != nb[slot] {
+			n.next.Store(nb[slot])
+		}
+		nb[slot] = li + 1
 	}
-	s.buckets = nb
+	s.buckets.Store(&nb)
 }
 
 // maybeGrowCache doubles the computed cache once the node count outgrows
@@ -231,7 +312,8 @@ func (t *table) adoptFrom(src *table) {
 	for i := range t.shards {
 		d, s := &t.shards[i], &src.shards[i]
 		d.mu.Lock()
-		d.buckets, d.mask, d.next, d.count = s.buckets, s.mask, s.next, s.count
+		d.count = s.count
+		d.buckets.Store(s.buckets.Load())
 		d.dir.Store(s.dir.Load())
 		d.mu.Unlock()
 	}
