@@ -442,7 +442,7 @@ func BenchmarkParallel_StuckAtWorkStealing4(b *testing.B) {
 	fs := parallelBenchFaults(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := analysis.RunStuckAtParallel(c, nil, fs, 4)
+		s, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

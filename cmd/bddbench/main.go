@@ -7,17 +7,14 @@
 //   - Micro: apply (And), ITE, and SatCount throughput on randomized
 //     functions over a single manager — the raw cost of the
 //     complement-edge node store and its operation caches.
-//   - Campaign: a stuck-at mini-campaign on a chosen circuit, run twice —
-//     once with all workers sharing one node table (the default) and once
-//     with per-worker cloned managers (CampaignConfig.Isolate) — and
-//     compared on wall-clock throughput and peak heap.
+//   - Campaign: a stuck-at mini-campaign on a chosen circuit, all workers
+//     sharing one node table: wall-clock throughput and peak heap.
 //
-// A second suite, -mode sched, compares propagation paths and dispatch
-// orders on one campaign — the full-gate-scan reference under raw index
-// order (the seed baseline) against the cone-restricted worklist under
-// index, cone-cluster, and level order — and reports the throughput
-// ratios, the gates-visited/skipped footprints, and whether every
-// configuration produced bit-identical records (BENCH_sched.json).
+// A second suite, -mode sched, compares dispatch orders on one campaign —
+// the cone-restricted worklist under index, cone-cluster, and level
+// order — and reports the throughput ratio, the gates-visited/skipped
+// footprints, and whether every configuration produced bit-identical
+// records (BENCH_sched.json).
 //
 // Usage:
 //
@@ -52,12 +49,6 @@ type report struct {
 	NumCPU    int     `json:"num_cpu"`
 	Micro     micro   `json:"micro"`
 	Shared    campRun `json:"shared"`
-	Isolated  campRun `json:"isolated"`
-	// SpeedupShared is isolated wall / shared wall (>1 means the shared
-	// backend is faster); HeapRatio is isolated peak heap / shared peak
-	// heap (>1 means the shared backend is leaner).
-	SpeedupShared float64 `json:"speedup_shared"`
-	HeapRatio     float64 `json:"heap_ratio"`
 }
 
 type micro struct {
@@ -80,7 +71,7 @@ func main() {
 		circuit = flag.String("circuit", "c1908s", "benchmark circuit name")
 		workers = flag.Int("workers", 4, "campaign worker count")
 		maxF    = flag.Int("max", 80, "cap on the stuck-at fault set (0 = all)")
-		mode    = flag.String("mode", "bdd", "benchmark suite: bdd (backend + shared-vs-isolated campaign) or sched (propagation path and dispatch-order comparison)")
+		mode    = flag.String("mode", "bdd", "benchmark suite: bdd (backend micro costs + shared-table campaign) or sched (dispatch-order comparison)")
 		reps    = flag.Int("reps", 3, "repetitions per configuration in -mode sched (best wall clock wins)")
 		out     = flag.String("out", "BENCH_bdd.json", "output JSON path (- for stdout)")
 	)
@@ -110,23 +101,12 @@ func main() {
 	}
 	rep.Faults = len(fs)
 
-	// Isolated first, then shared, each from a collected heap baseline:
-	// run order must not let one mode's garbage inflate the other's peak.
-	rep.Isolated, _ = campaignBench(c, fs, *workers, true)
-	rep.Shared, _ = campaignBench(c, fs, *workers, false)
-	if rep.Shared.WallMs > 0 {
-		rep.SpeedupShared = rep.Isolated.WallMs / rep.Shared.WallMs
-	}
-	if rep.Shared.PeakHeapBytes > 0 {
-		rep.HeapRatio = float64(rep.Isolated.PeakHeapBytes) / float64(rep.Shared.PeakHeapBytes)
-	}
+	rep.Shared = campaignBench(c, fs, *workers)
 
 	fmt.Fprintf(os.Stderr,
-		"bddbench %s workers=%d faults=%d: shared %.0fms (peak %s, %d nodes), isolated %.0fms (peak %s, %d nodes) -> speedup %.2fx, heap ratio %.2fx\n",
+		"bddbench %s workers=%d faults=%d: shared %.0fms (%.0f faults/s, peak %s, %d nodes)\n",
 		*circuit, *workers, rep.Faults,
-		rep.Shared.WallMs, fmtBytes(rep.Shared.PeakHeapBytes), rep.Shared.PeakNodes,
-		rep.Isolated.WallMs, fmtBytes(rep.Isolated.PeakHeapBytes), rep.Isolated.PeakNodes,
-		rep.SpeedupShared, rep.HeapRatio)
+		rep.Shared.WallMs, rep.Shared.FaultsPerSec, fmtBytes(rep.Shared.PeakHeapBytes), rep.Shared.PeakNodes)
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -206,10 +186,9 @@ func microBench() micro {
 
 // campaignBench runs one stuck-at campaign and reports wall clock plus the
 // peak live heap observed by a high-frequency sampler (HeapAlloc tracks
-// the node chunks and caches directly). The heap is garbage-collected to
-// a common baseline first so one mode's leftovers cannot inflate the
-// other's peak.
-func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate bool) (campRun, analysis.CampaignStats) {
+// the node chunks and caches directly). The heap is garbage-collected
+// first so the micro benchmark's leftovers cannot inflate the peak.
+func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int) campRun {
 	runtime.GC()
 	var peak atomic.Uint64
 	stopSampler := make(chan struct{})
@@ -233,10 +212,7 @@ func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate
 	}()
 
 	t0 := time.Now()
-	study, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{
-		Workers: workers,
-		Isolate: isolate,
-	})
+	study, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{Workers: workers})
 	wall := time.Since(t0)
 	close(stopSampler)
 	<-samplerDone
@@ -254,7 +230,7 @@ func campaignBench(c *netlist.Circuit, fs []faults.StuckAt, workers int, isolate
 	if wall > 0 {
 		run.FaultsPerSec = float64(len(fs)) / wall.Seconds()
 	}
-	return run, st
+	return run
 }
 
 func fatal(err error) {

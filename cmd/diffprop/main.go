@@ -33,30 +33,27 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/campaignflags"
 	"repro/internal/chaos"
 	"repro/internal/circuits"
 	"repro/internal/diffprop"
 	"repro/internal/faults"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/supervise"
 )
 
 // shutdownObs flushes the trace file, stops the timeline sampler and the
-// debug server. main exits through os.Exit on several paths, so fatal and
-// finishCampaign call it explicitly; it is idempotent.
-var shutdownObs = func() {}
-
-// dumpFlight writes the flight recorder's post-mortem dump (the -flight
-// flag). Armed by setupObs; idempotent — the first reason wins, so a
-// panic's dump is not overwritten by the exit path's. A no-op when
-// -flight is unset.
-var dumpFlight = func(reason string) {}
+// debug server; dumpFlight writes the -flight post-mortem dump. main exits
+// through os.Exit on several paths, so fatal and finishCampaign call them
+// explicitly. Both are idempotent (see campaignflags.Session).
+var (
+	shutdownObs = func() {}
+	dumpFlight  = func(reason string) {}
+)
 
 func main() {
 	var (
@@ -69,41 +66,22 @@ func main() {
 		seed       = flag.Int64("seed", 1990, "sampling seed")
 		summary    = flag.Bool("summary", false, "print aggregates only")
 		dotOut     = flag.String("dot", "", "write the first analyzed fault's complete-test-set BDD as Graphviz DOT to this file")
-		workers    = flag.Int("workers", 1, "parallel analysis workers (0 = one per CPU)")
-		order      = flag.String("order", "index", "fault dispatch order: index (raw), cone (cluster by dominating output cone), level (by topological depth); results are bit-identical under any policy")
-		fullScan   = flag.Bool("fullscan", false, "use the full-gate-scan propagation reference instead of the cone-restricted worklist (differential-testing baseline; results are bit-identical)")
-		verbose    = flag.Bool("v", false, "stream progress and campaign runtime stats to stderr")
-		budget     = flag.Int64("budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
-		timeout    = flag.Duration("timeout", 0, "per-fault wall-clock budget (0 = unlimited)")
-		nodeLimit  = flag.Int("nodelimit", 0, "per-fault BDD node-count watermark (0 = unlimited); a tripped analysis enters the recovery ladder")
-		gcAuto     = flag.Bool("gcauto", false, "enable recovery sifting: reorder variables when post-GC node counts still exceed -nodelimit (defaults -nodelimit to 1Mi nodes if unset)")
-		retryMult  = flag.Float64("retrybudget", 0, "retry a blown fault once under its budgets scaled by this multiplier before degrading (<=1 disables)")
-		memLimit   = flag.String("memlimit", "", "campaign heap ceiling, e.g. 2GiB: park workers near it instead of OOMing (empty = GOMEMLIMIT if set; off = never)")
 		estVectors = flag.Int("estvectors", 0, "random vectors behind each degraded estimate (0 = default)")
 		ckptPath   = flag.String("checkpoint", "", "persist finished records to this JSONL file as they complete")
 		resume     = flag.Bool("resume", false, "continue from the -checkpoint file, skipping already-persisted faults")
 		retryDegr  = flag.Bool("retry-degraded", false, "with -resume: re-attempt checkpointed Approximate/error/skipped faults instead of carrying them forward")
-		calibrate  = flag.Bool("calibrate", false, "self-calibrate the per-fault budget and retry ladder from the circuit's measured op-cost distribution (replaces hand-tuned -budget/-retrybudget)")
 		calibJSON  = flag.String("calibjson", "", "write the final calibration state (armed budget, retry multiplier, updates) as JSON to this file")
 		chaosSpec  = flag.String("chaos", "", "deterministic fault-injection spec, e.g. 'seed=7;budget:p=0.35;latency:p=0.2,d=2ms' (see internal/chaos)")
-		httpAddr   = flag.String("http", "", "serve the debug endpoints (/metrics, /progress, /debug/pprof) on this address, e.g. :6060")
-		logLevel   = flag.String("log", "", "structured logging level on stderr: debug, info, warn, error (empty = off)")
-		logJSON    = flag.Bool("logjson", false, "emit structured logs as JSON instead of logfmt text")
-		tracePath  = flag.String("trace", "", "stream one trace event per analyzed fault to this file")
-		traceFmt   = flag.String("traceformat", "jsonl", "trace file format: jsonl, chrome (chrome://tracing)")
-		flightPath = flag.String("flight", "", "record campaign events in a flight ring and dump them as JSON to this file on exit, panic, checkpoint failure or interrupt (convention: <checkpoint>.flight.json; analyze with cmd/obsreport)")
 
-		shards     = flag.Int("shards", 0, "supervisor mode: partition the fault set into N shards, each analyzed by a supervised, restartable worker subprocess; merged results are bit-identical to an unsupervised run (needs -checkpoint)")
 		shardProcs = flag.Int("shard-procs", 0, "supervisor: cap on concurrently running shard workers (0 = all shards at once)")
-		shardDir   = flag.String("shard-dir", "", "supervisor: directory for per-shard checkpoints (default <checkpoint>.shards); rerunning over the same directory resumes them")
 		hbTimeout  = flag.Duration("hb-timeout", supervise.DefaultHeartbeatTimeout, "supervisor: SIGKILL a worker after this much protocol silence and re-dispatch its shard")
 		maxRestart = flag.Int("max-restarts", supervise.DefaultMaxRestarts, "supervisor: per-shard worker restarts before bisecting toward poison-fault quarantine (-1 = escalate on the first death)")
-		workerBin  = flag.String("worker-binary", "", "supervisor: worker executable (default: this binary re-executed)")
 
 		workerShard   = flag.String("worker-shard", "", "internal: run as a shard worker over global faults lo-hi; the supervisor owns stdout (JSONL protocol) and stdin (orphan watchdog)")
 		workerAttempt = flag.Int("worker-attempt", 0, "internal: this worker's restart attempt (gates one-shot chaos process points)")
 		workerHB      = flag.Duration("worker-hb", time.Second, "internal: worker heartbeat period")
 	)
+	cf := campaignflags.Register(flag.CommandLine, 1)
 	flag.Parse()
 
 	if *resume && *ckptPath == "" {
@@ -112,29 +90,30 @@ func main() {
 	if *retryDegr && !*resume {
 		fatal(fmt.Errorf("-retry-degraded needs -resume (it re-attempts faults restored from the checkpoint)"))
 	}
-	if *workerShard != "" && *shards > 0 {
+	if *workerShard != "" && cf.Shards > 0 {
 		fatal(fmt.Errorf("-worker-shard and -shards are mutually exclusive (one process is either a worker or its supervisor)"))
 	}
-	if (*workerShard != "" || *shards > 0) && *ckptPath == "" {
+	if (*workerShard != "" || cf.Shards > 0) && *ckptPath == "" {
 		fatal(fmt.Errorf("-shards/-worker-shard need -checkpoint <file>"))
 	}
-	if *shards > 0 && *resume {
+	if cf.Shards > 0 && *resume {
 		fmt.Fprintln(os.Stderr, "diffprop: note: -resume is implicit under -shards (per-shard checkpoints in -shard-dir resume automatically)")
 	}
-	memCeiling, err := analysis.ParseMemLimit(*memLimit)
+	ccfg, err := cf.Campaign()
 	if err != nil {
-		fatal(fmt.Errorf("-memlimit: %w", err))
+		fatal(err)
 	}
 	chaosCfg, err := chaos.Parse(*chaosSpec)
 	if err != nil {
 		fatal(fmt.Errorf("-chaos: %w", err))
 	}
-	orderPolicy, err := analysis.ParseOrderPolicy(*order)
-	if err != nil {
-		fatal(fmt.Errorf("-order: %w", err))
-	}
 
-	o := setupObs("diffprop", *httpAddr, *logLevel, *logJSON, *tracePath, *traceFmt, *flightPath)
+	sess, err := cf.StartObs("diffprop")
+	if err != nil {
+		fatal(err)
+	}
+	shutdownObs, dumpFlight = sess.Shutdown, sess.DumpFlight
+	o := sess.Observer
 	// A panic anywhere below still produces the flight dump — the whole
 	// point of a flight recorder — before the panic propagates.
 	defer func() {
@@ -176,32 +155,11 @@ func main() {
 		os.Exit(130)
 	}()
 
-	rcfg := diffprop.Recovery{
-		NodeLimit:       *nodeLimit,
-		RetryMultiplier: *retryMult,
-	}
-	if *gcAuto {
-		rcfg.SiftPasses = diffprop.DefaultSiftPasses
-		if rcfg.NodeLimit == 0 {
-			rcfg.NodeLimit = 1 << 20
-		}
-	}
-
-	ccfg := analysis.CampaignConfig{
-		Workers:         *workers,
-		Context:         ctx,
-		FaultOps:        *budget,
-		FaultTimeout:    *timeout,
-		FallbackVectors: *estVectors,
-		Recovery:        rcfg,
-		MemLimit:        memCeiling,
-		Obs:             o,
-		Chaos:           chaosCfg,
-		Calibrate:       analysis.Calibration{Enabled: *calibrate},
-		Order:           orderPolicy,
-		FullScan:        *fullScan,
-	}
-	if *verbose {
+	ccfg.Context = ctx
+	ccfg.FallbackVectors = *estVectors
+	ccfg.Obs = o
+	ccfg.Chaos = chaosCfg
+	if cf.Verbose {
 		ccfg.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d faults", done, total)
 			if done == total {
@@ -227,25 +185,23 @@ func main() {
 		wm.run(c, w) // exits the process
 	}
 	var sup *supervisorMode
-	if *shards > 0 {
+	if cf.Shards > 0 {
 		sup = &supervisorMode{
-			shards:      *shards,
+			shards:      cf.Shards,
 			procs:       *shardProcs,
-			dir:         *shardDir,
+			dir:         cf.ShardDir,
 			hbTimeout:   *hbTimeout,
 			maxRestarts: *maxRestart,
-			binary:      *workerBin,
+			binary:      cf.WorkerBinary,
 			ckptPath:    *ckptPath,
-			verbose:     *verbose,
+			verbose:     cf.Verbose,
 			obs:         o,
 			flags: workerFlagSet{
 				circuit: *circuit, bench: *bench, model: *model,
 				max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
-				workers: *workers, order: *order, fullScan: *fullScan,
-				budget: *budget, timeout: *timeout, nodeLimit: *nodeLimit,
-				gcAuto: *gcAuto, retryMult: *retryMult, memLimit: *memLimit,
-				estVectors: *estVectors, calibrate: *calibrate,
-				chaosSpec: *chaosSpec, logLevel: *logLevel, logJSON: *logJSON,
+				campaign:   ccfg,
+				estVectors: *estVectors,
+				chaosSpec:  *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
 				hbEvery: *workerHB,
 			},
 		}
@@ -267,7 +223,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *verbose {
+		if cf.Verbose {
 			fmt.Fprintln(os.Stderr, study.Stats)
 		}
 		// Campaigns build their own engines; this one serves only -dot and
@@ -314,7 +270,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *verbose {
+		if cf.Verbose {
 			fmt.Fprintln(os.Stderr, study.Stats)
 		}
 		if !*summary {
@@ -328,88 +284,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown fault model %q (stuckat, and, or)", *model))
 	}
-}
-
-// setupObs builds the campaign observer from the -http/-log/-logjson/
-// -trace/-traceformat/-flight flags and arms shutdownObs plus dumpFlight.
-// Returns nil — the zero-overhead off state — when no observability flag
-// is set. The timeline sampler runs whenever the flight recorder or the
-// debug server wants it (the /timeline endpoint and the dump embed it).
-func setupObs(prog, httpAddr, logLevel string, logJSON bool, tracePath, traceFmt, flightPath string) *obs.Observer {
-	if httpAddr == "" && logLevel == "" && tracePath == "" && flightPath == "" {
-		return nil
-	}
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	if flightPath != "" {
-		o.Flight = obs.NewFlightRecorder(0)
-	}
-	var timeline *obs.Timeline
-	if flightPath != "" || httpAddr != "" {
-		timeline = o.StartTimeline(0, 0)
-	}
-	if logLevel != "" {
-		lv, err := obs.ParseLevel(logLevel)
-		if err != nil {
-			fatal(err)
-		}
-		o.Log = obs.NewLogger(os.Stderr, lv, logJSON)
-	}
-	var traceFile *os.File
-	if tracePath != "" {
-		format, err := obs.ParseTraceFormat(traceFmt)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		o.Tracer = obs.NewTracer(f, format)
-	}
-	var srv *obs.Server
-	if httpAddr != "" {
-		o.Metrics.PublishExpvar(prog)
-		s, err := obs.Serve(httpAddr, o)
-		if err != nil {
-			fatal(err)
-		}
-		srv = s
-		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s (/metrics /progress /debug/pprof)\n", prog, s.Addr())
-	}
-	var once sync.Once
-	shutdownObs = func() {
-		once.Do(func() {
-			timeline.Stop()
-			if o.Tracer != nil {
-				if err := o.Tracer.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: closing trace: %v\n", prog, err)
-				}
-			}
-			if traceFile != nil {
-				traceFile.Close()
-			}
-			if srv != nil {
-				srv.Close()
-			}
-		})
-	}
-	if flightPath != "" {
-		var dumpOnce sync.Once
-		dumpFlight = func(reason string) {
-			dumpOnce.Do(func() {
-				// Freeze the timeline first so the dump's final sample covers
-				// the run's tail.
-				timeline.Stop()
-				if ok, err := o.WriteFlightDump(flightPath, prog, reason); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: writing flight dump: %v\n", prog, err)
-				} else if ok {
-					fmt.Fprintf(os.Stderr, "%s: wrote flight dump (%s) to %s\n", prog, reason, flightPath)
-				}
-			})
-		}
-	}
-	return o
 }
 
 // truncateFaults applies -max, warning on stderr when it actually drops

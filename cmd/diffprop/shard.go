@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/campaignflags"
 	"repro/internal/chaos"
 	"repro/internal/faults"
 	"repro/internal/netlist"
@@ -33,24 +34,16 @@ const exitOrphaned = 4
 
 // workerFlagSet carries the analysis flags a supervisor forwards to its
 // workers, so a worker derives exactly the campaign the supervisor
-// partitioned.
+// partitioned. campaign's flag-settable fields are rendered by
+// campaignflags.Args.
 type workerFlagSet struct {
 	circuit, bench string
 	model          string
 	max, maxBFs    int
 	theta          float64
 	seed           int64
-	workers        int
-	order          string
-	fullScan       bool
-	budget         int64
-	timeout        time.Duration
-	nodeLimit      int
-	gcAuto         bool
-	retryMult      float64
-	memLimit       string
+	campaign       analysis.CampaignConfig
 	estVectors     int
-	calibrate      bool
 	chaosSpec      string
 	logLevel       string
 	logJSON        bool
@@ -77,23 +70,23 @@ type supervisorMode struct {
 // README's "Fault tolerance" section spells out the trade).
 func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 	f := s.flags
-	workers, nodeLimit := f.workers, f.nodeLimit
+	c := f.campaign
 	if sh.Degrade > 0 {
-		if workers <= 0 {
-			workers = 2 // "one per CPU" is what just OOMed; start shedding from a known point
+		if c.Workers <= 0 {
+			c.Workers = 2 // "one per CPU" is what just OOMed; start shedding from a known point
 		}
-		if workers>>sh.Degrade >= 1 {
-			workers >>= sh.Degrade
+		if c.Workers>>sh.Degrade >= 1 {
+			c.Workers >>= sh.Degrade
 		} else {
-			workers = 1
+			c.Workers = 1
 		}
-		if nodeLimit <= 0 {
-			nodeLimit = 1 << 20
+		if c.Recovery.NodeLimit <= 0 {
+			c.Recovery.NodeLimit = 1 << 20
 		}
-		if nodeLimit>>sh.Degrade >= 1<<16 {
-			nodeLimit >>= sh.Degrade
+		if c.Recovery.NodeLimit>>sh.Degrade >= 1<<16 {
+			c.Recovery.NodeLimit >>= sh.Degrade
 		} else {
-			nodeLimit = 1 << 16
+			c.Recovery.NodeLimit = 1 << 16
 		}
 	}
 	args := []string{
@@ -106,31 +99,14 @@ func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 		"-maxbfs", strconv.Itoa(f.maxBFs),
 		"-theta", strconv.FormatFloat(f.theta, 'g', -1, 64),
 		"-seed", strconv.FormatInt(f.seed, 10),
-		"-workers", strconv.Itoa(workers),
-		"-order", f.order,
-		"-budget", strconv.FormatInt(f.budget, 10),
-		"-timeout", f.timeout.String(),
-		"-nodelimit", strconv.Itoa(nodeLimit),
-		"-retrybudget", strconv.FormatFloat(f.retryMult, 'g', -1, 64),
 		"-estvectors", strconv.Itoa(f.estVectors),
 	}
+	args = append(args, campaignflags.Args(c)...)
 	if f.circuit != "" {
 		args = append(args, "-circuit", f.circuit)
 	}
 	if f.bench != "" {
 		args = append(args, "-bench", f.bench)
-	}
-	if f.fullScan {
-		args = append(args, "-fullscan")
-	}
-	if f.gcAuto {
-		args = append(args, "-gcauto")
-	}
-	if f.calibrate {
-		args = append(args, "-calibrate")
-	}
-	if f.memLimit != "" {
-		args = append(args, "-memlimit", f.memLimit)
 	}
 	if f.chaosSpec != "" {
 		args = append(args, "-chaos", f.chaosSpec)

@@ -11,17 +11,12 @@
 // index-aligned and bit-identical to the serial runners (each fault is
 // analyzed exactly, by the same record builder).
 //
-// Workers no longer pay full BDD re-synthesis or even per-worker node
-// stores: one prototype engine is built with diffprop.New and every other
-// worker receives a diffprop.Engine.Share — a view onto the same
-// complement-edge manager, whose sharded unique table and lossy operation
-// caches are safe for concurrent use. Every canonical function is built
-// once, campaign-wide. CampaignConfig.Isolate restores the historical
-// diffprop.Engine.Clone path (a structural manager-to-manager copy per
-// worker) for isolation or A/B measurement. Sharing wins on memory, not
-// speed: on two workers over the first 116 C1908s faults, cmd/bddbench
-// measures the shared table at 0.98-1.02x the clones' throughput on ~40%
-// less peak heap (EXPERIMENTS.md, caveat 12).
+// Workers pay neither BDD re-synthesis nor per-worker node stores: one
+// prototype engine is built with diffprop.New and every other worker
+// receives a diffprop.Engine.Share — a view onto the same complement-edge
+// manager, whose sharded unique table and lossy operation caches are safe
+// for concurrent use. Every canonical function is built once,
+// campaign-wide.
 package analysis
 
 import (
@@ -89,15 +84,6 @@ type CampaignConfig struct {
 	MemPoll time.Duration
 	// memSample overrides the governor's heap sampler in tests.
 	memSample func() int64
-	// Isolate gives every worker its own cloned BDD manager (the historical
-	// pre-shared-table behavior) instead of a shared view onto the
-	// prototype's node store. Sharing is the default: it builds every
-	// canonical function once and keeps peak heap flat as workers are
-	// added, at the clones' throughput (two C1908s workers: 0.98-1.02x,
-	// ~40% less peak heap; see the package doc). Isolation trades that for
-	// complete independence between workers — useful as an A/B baseline
-	// and when a workload's recovery ladders thrash the shared table.
-	Isolate bool
 	// FallbackVectors and FallbackSeed parameterize the degradation
 	// estimate (zero selects DefaultFallbackVectors / DefaultFallbackSeed).
 	// The estimate is a pure function of (circuit, vectors, seed, fault),
@@ -134,12 +120,6 @@ type CampaignConfig struct {
 	// and OrderLevel reorder the dispatch sequence for cone locality while
 	// records stay index-aligned and bit-identical to serial runs.
 	Order OrderPolicy
-	// FullScan switches every engine to the historical full-gate-scan
-	// propagation instead of the cone-restricted worklist (see
-	// diffprop.Engine.SetFullScanReference). Results are bit-identical
-	// either way; the scan is kept as the differential-testing reference
-	// and the seed baseline of the scheduling benchmark.
-	FullScan bool
 	// Name labels the campaign in heartbeats and logs. Empty selects a
 	// default derived from the fault model and circuit name.
 	Name string
@@ -303,16 +283,20 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 	s.Cache = agg.Cache
 }
 
-// prepareEngines builds the prototype engine, runs prep on it (nil for
-// none), and derives one engine per worker. By default workers get
-// diffprop.Engine.Share views onto the prototype's manager — one shared
-// node store for the whole campaign. With isolate set, each worker
-// instead receives a diffprop.Engine.Clone (a structural
-// manager-to-manager copy); clones are taken concurrently — Transfer only
-// reads the source — but strictly before any worker starts analyzing. The
-// shared working circuit's lazy topology caches are warmed here so workers
-// only ever read them.
-func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, isolate bool, prep func(*diffprop.Engine)) ([]*diffprop.Engine, error) {
+// prepareEngines builds the prototype engine and derives one
+// diffprop.Engine.Share view per worker — one node store for the whole
+// campaign — each armed with cfg's per-fault budget and recovery ladder.
+// The worker count is cfg.Workers capped at the fault count (at least
+// one). The shared working circuit's lazy topology caches are warmed here
+// so workers only ever read them.
+func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg CampaignConfig) ([]*diffprop.Engine, error) {
+	workers := Workers(cfg.Workers)
+	if workers > nFaults {
+		workers = nFaults
+	}
+	if workers < 1 {
+		workers = 1
+	}
 	proto, err := diffprop.New(c, opts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: parallel run failed: %w", err)
@@ -321,26 +305,15 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, workers int, iso
 	work.Fanout()
 	work.Levels()
 	work.MaxLevelsToPO()
-	if prep != nil {
-		prep(proto)
-	}
 	engines := make([]*diffprop.Engine, workers)
 	engines[0] = proto
-	if !isolate {
-		for w := 1; w < workers; w++ {
-			engines[w] = proto.Share()
-		}
-		return engines, nil
-	}
-	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			engines[w] = proto.Clone()
-		}(w)
+		engines[w] = proto.Share()
 	}
-	wg.Wait()
+	for _, e := range engines {
+		e.SetFaultBudget(cfg.budget())
+		e.SetRecovery(cfg.Recovery)
+	}
 	return engines, nil
 }
 
@@ -580,28 +553,16 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 }
 
 // RunStuckAtCampaign analyzes the fault set with work-stealing dispatch
-// over cfg.Workers cloned engines and returns a study whose Records are
+// over cfg.Workers shared engine views and returns a study whose Records are
 // bit-identical and index-aligned to the serial RunStuckAt: every fault is
 // analyzed exactly, so the scheduling cannot change any result, only the
 // wall clock. Fault sites must refer to the two-input decomposition of c
 // (the working circuit of any engine built from c), which is
 // deterministic.
 func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, cfg CampaignConfig) (StuckAtStudy, error) {
-	workers := Workers(cfg.Workers)
-	if workers > len(fs) {
-		workers = len(fs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	engines, err := prepareEngines(c, opts, workers, cfg.Isolate, nil)
+	engines, err := prepareEngines(c, opts, len(fs), cfg)
 	if err != nil {
 		return StuckAtStudy{}, err
-	}
-	for _, e := range engines {
-		e.SetFaultBudget(cfg.budget())
-		e.SetRecovery(cfg.Recovery)
-		e.SetFullScanReference(cfg.FullScan)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
@@ -648,36 +609,12 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	return study, runErr
 }
 
-// RunStuckAtParallel analyzes the fault set with `workers` engines
-// (0 = one per CPU). It is RunStuckAtCampaign without progress reporting,
-// kept for callers that only want to set the parallelism.
-func RunStuckAtParallel(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, workers int) (StuckAtStudy, error) {
-	return RunStuckAtCampaign(c, opts, fs, CampaignConfig{Workers: workers})
-}
-
 // RunBridgingCampaign is the bridging-fault counterpart of
 // RunStuckAtCampaign.
 func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool, cfg CampaignConfig) (BridgingStudy, error) {
-	workers := Workers(cfg.Workers)
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// The feedback-reachability table is built on the prototype before
-	// cloning so all workers share one immutable copy instead of each
-	// building its own.
-	engines, err := prepareEngines(c, opts, workers, cfg.Isolate, func(e *diffprop.Engine) {
-		e.FeedbackChecker()
-	})
+	engines, err := prepareEngines(c, opts, len(bs), cfg)
 	if err != nil {
 		return BridgingStudy{}, err
-	}
-	for _, e := range engines {
-		e.SetFaultBudget(cfg.budget())
-		e.SetRecovery(cfg.Recovery)
-		e.SetFullScanReference(cfg.FullScan)
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
@@ -723,9 +660,4 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	study.Records = records
 	study.Stats = stats
 	return study, runErr
-}
-
-// RunBridgingParallel is RunBridgingCampaign without progress reporting.
-func RunBridgingParallel(c *netlist.Circuit, opts *diffprop.Options, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool, workers int) (BridgingStudy, error) {
-	return RunBridgingCampaign(c, opts, bs, kind, population, sampled, CampaignConfig{Workers: workers})
 }

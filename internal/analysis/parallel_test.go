@@ -41,7 +41,7 @@ func TestParallelStuckAtMatchesSerial(t *testing.T) {
 	fs := faults.CheckpointStuckAts(e.Circuit)
 	serial := RunStuckAt(e, fs)
 	for _, workers := range []int{1, 3, 8} {
-		par, err := RunStuckAtParallel(c, nil, fs, workers)
+		par, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestParallelBridgingMatchesSerial(t *testing.T) {
 	set, pop, sampled := BridgingSet(e.Circuit, faults.WiredOR, 150, 0.3, 7)
 	serial := RunBridging(e, set, faults.WiredOR, pop, sampled)
 	for _, workers := range []int{1, 4} {
-		par, err := RunBridgingParallel(c, nil, set, faults.WiredOR, pop, sampled, workers)
+		par, err := RunBridgingCampaign(c, nil, set, faults.WiredOR, pop, sampled, CampaignConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestParallelBridgingMatchesSerial(t *testing.T) {
 
 // TestParallelRace4Workers drives the work-stealing scheduler with more
 // workers than CPUs would commonly grant, for both fault models, so `go
-// test -race ./internal/analysis/...` exercises the engine cloning, the
+// test -race ./internal/analysis/...` exercises the shared engine views, the
 // shared topology caches, the shared reachability table, and the progress
 // path under the race detector.
 func TestParallelRace4Workers(t *testing.T) {
@@ -132,10 +132,10 @@ func TestParallelRejectsBadCircuit(t *testing.T) {
 	c := circuits.MustGet("c17")
 	bad := &diffprop.Options{Order: []string{"nope"}}
 	fs := faults.CheckpointStuckAts(c.Decompose2())
-	if _, err := RunStuckAtParallel(c, bad, fs, 4); err == nil {
+	if _, err := RunStuckAtCampaign(c, bad, fs, CampaignConfig{Workers: 4}); err == nil {
 		t.Fatal("bad options must surface an error")
 	}
-	if _, err := RunBridgingParallel(c, bad, faults.AllNFBFs(c, faults.WiredAND), faults.WiredAND, 1, false, 4); err == nil {
+	if _, err := RunBridgingCampaign(c, bad, faults.AllNFBFs(c, faults.WiredAND), faults.WiredAND, 1, false, CampaignConfig{Workers: 4}); err == nil {
 		t.Fatal("bad options must surface an error (bridging)")
 	}
 }
@@ -144,7 +144,7 @@ func TestParallelRejectsBadCircuit(t *testing.T) {
 // workers to spawn, but a valid header and empty (non-nil) record slice.
 func TestCampaignEmptyFaultSet(t *testing.T) {
 	c := circuits.MustGet("c17")
-	s, err := RunStuckAtParallel(c, nil, nil, 4)
+	s, err := RunStuckAtCampaign(c, nil, nil, CampaignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

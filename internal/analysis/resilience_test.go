@@ -180,7 +180,7 @@ func TestPanicIsolationBridging(t *testing.T) {
 		}
 	}
 
-	par, err := RunBridgingParallel(c, nil, set, faults.WiredAND, pop, sampled, 4)
+	par, err := RunBridgingCampaign(c, nil, set, faults.WiredAND, pop, sampled, CampaignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPanicIsolationStuckAt(t *testing.T) {
 		t.Fatalf("serial errors = %v, want exactly index %d", errs, mid)
 	}
 
-	par, err := RunStuckAtParallel(c, nil, fs, 4)
+	par, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func TestScheduleClusterInvariants(t *testing.T) {
 }
 
 // TestStuckAtOrderPoliciesBitIdentical is the scheduling layer's core
-// guarantee: every dispatch order, worker count and propagation path
-// produces records bit-identical to the serial index-order run.
+// guarantee: every dispatch order and worker count produces records
+// bit-identical to the serial index-order run.
 func TestStuckAtOrderPoliciesBitIdentical(t *testing.T) {
 	c := circuits.MustGet("c95s")
 	e, err := diffprop.New(c, nil)
@@ -94,25 +94,19 @@ func TestStuckAtOrderPoliciesBitIdentical(t *testing.T) {
 	serial := RunStuckAt(e, fs)
 	for _, order := range []OrderPolicy{OrderIndex, OrderCone, OrderLevel} {
 		for _, workers := range []int{1, 4} {
-			for _, fullScan := range []bool{false, true} {
-				cfg := CampaignConfig{Workers: workers, Order: order, FullScan: fullScan}
-				par, err := RunStuckAtCampaign(c, nil, fs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Stats.Order != order {
-					t.Fatalf("order=%v workers=%d: stats report order %v", order, workers, par.Stats.Order)
-				}
-				if fullScan && par.Stats.GatesSkipped != 0 {
-					t.Fatalf("order=%v workers=%d: full scan skipped %d gates", order, workers, par.Stats.GatesSkipped)
-				}
-				if !fullScan && par.Stats.GatesSkipped == 0 {
-					t.Fatalf("order=%v workers=%d: worklist skipped no gates", order, workers)
-				}
-				if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
-					t.Fatalf("order=%v workers=%d fullscan=%v: study differs from serial index order",
-						order, workers, fullScan)
-				}
+			cfg := CampaignConfig{Workers: workers, Order: order}
+			par, err := RunStuckAtCampaign(c, nil, fs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.Stats.Order != order {
+				t.Fatalf("order=%v workers=%d: stats report order %v", order, workers, par.Stats.Order)
+			}
+			if par.Stats.GatesSkipped == 0 {
+				t.Fatalf("order=%v workers=%d: worklist skipped no gates", order, workers)
+			}
+			if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
+				t.Fatalf("order=%v workers=%d: study differs from serial index order", order, workers)
 			}
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // normalized to each node's own level — stay valid. The carry walks the
 // transfer memo table, so its cost scales with the number of transferred
 // nodes, not with the size of the source's sat cache. This keeps syndrome
-// and detectability counting warm across engine clones and generational
-// rebuilds. Transfer reads but never mutates the source manager, so many
+// and detectability counting warm across generational rebuilds and
+// sifting. Transfer reads but never mutates the source manager, so many
 // destinations may be filled from one source concurrently.
 //
 // Any operation budget or node watermark armed on dst is suspended for

@@ -78,14 +78,14 @@ func TestFaultBudgetAbortAndRecover(t *testing.T) {
 	}
 }
 
-func TestCloneCopiesFaultBudget(t *testing.T) {
+func TestShareCopiesFaultBudget(t *testing.T) {
 	c := circuits.MustGet("c95s")
 	e, err := New(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetFaultBudget(FaultBudget{Ops: 123, Wall: time.Second})
-	if got := e.Clone().FaultBudget(); got != (FaultBudget{Ops: 123, Wall: time.Second}) {
-		t.Fatalf("clone budget = %+v", got)
+	if got := e.Share().FaultBudget(); got != (FaultBudget{Ops: 123, Wall: time.Second}) {
+		t.Fatalf("view budget = %+v", got)
 	}
 }

@@ -135,16 +135,16 @@ type Engine struct {
 	varToInput []int
 
 	// reach is the fan-out reachability table: one packed bitset row per
-	// net, built once in New and aliased by every Share view and Clone. It
+	// net, built once in New and aliased by every Share view. It
 	// doubles as the levelized cone index behind the worklist propagation
 	// (rows are in topological order by construction) and as the O(1)
 	// feedback screen for bridging faults.
 	reach *faults.Reachability
 
 	// fullScan forces the reference full-gate-scan propagation instead of
-	// the cone-restricted worklist (see SetFullScanReference). The two are
-	// bit-identical; the scan is kept for differential testing and as the
-	// seed-baseline arm of the scheduling benchmark.
+	// the cone-restricted worklist. The two are bit-identical; only the
+	// in-package differential tests set it, to use the scan as the
+	// worklist's oracle.
 	fullScan bool
 
 	// coneBuf and deltaBuf are per-view scratch for the worklist
@@ -183,7 +183,7 @@ type Engine struct {
 	shared *sharedState
 
 	// log receives structured engine events (rebuilds, budget aborts);
-	// nil is silent. Not shared with clones.
+	// nil is silent. Not shared with other views.
 	log *slog.Logger
 
 	// phaseClock, when set, timestamps the three phases of each analysis
@@ -350,20 +350,6 @@ func (e *Engine) CacheTraffic() (hits, misses int64) {
 		cs.ApplyMisses + cs.IteMisses + cs.NotMisses
 }
 
-// SetFullScanReference toggles the propagation strategy: off (the
-// default) runs the cone-restricted worklist, which walks only the seed
-// sites' merged fan-out cone; on forces the historical full-gate scan.
-// Both produce bit-identical Results — same BDD operations in the same
-// order — because every gate outside the merged cone provably sees only
-// zero input differences and contributes nothing. The scan is retained as
-// the differential-testing reference and the seed-baseline arm of the
-// scheduling benchmark.
-func (e *Engine) SetFullScanReference(on bool) { e.fullScan = on }
-
-// FullScanReference reports whether the reference full-gate scan is
-// forced.
-func (e *Engine) FullScanReference() bool { return e.fullScan }
-
 // LastConeGates returns the number of gates the most recent analysis's
 // propagation loop visited: the fault's merged fan-out-cone size under
 // the worklist, the full gate count under the scan reference. This is the
@@ -462,7 +448,7 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	e.varToInput = buildVarToInput(work, m)
 	// The reachability table serves double duty as the cone index of the
 	// worklist propagation, so it is built eagerly: one reverse-topological
-	// sweep here, aliased by every Share view and Clone thereafter.
+	// sweep here, aliased by every Share view thereafter.
 	e.reach = faults.NewReachability(work)
 	e.peakNodes = m.NodeCount()
 	return e, nil
@@ -485,36 +471,6 @@ func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
 		}
 	}
 	return out
-}
-
-// Clone builds an independent engine over the same circuit by structurally
-// copying the good functions into a fresh manager (bdd.Manager.Transfer,
-// linear in the node count) instead of re-running Apply-synthesis. The
-// clone shares the immutable working circuit, the precomputed input
-// mapping and the feedback-reachability table with its source, and starts
-// with the source's syndrome cache and a compact, garbage-free manager.
-// Cloning reads but never mutates the source, so several clones may be
-// taken concurrently — but not while another goroutine is analyzing faults
-// on the source. Runtime counters start at zero.
-func (e *Engine) Clone() *Engine {
-	m2 := bdd.New(e.m.Names()...)
-	good2 := e.m.Transfer(m2, e.good...)
-	return &Engine{
-		Circuit:      e.Circuit,
-		m:            m2,
-		good:         good2,
-		rebuildLimit: e.rebuildLimit,
-		cutNets:      append([]int(nil), e.cutNets...),
-		syndromes:    append([]float64(nil), e.syndromes...),
-		synValid:     append([]bool(nil), e.synValid...),
-		varToInput:   e.varToInput,
-		reach:        e.reach,
-		fullScan:     e.fullScan,
-		faultBudget:  e.faultBudget,
-		recovery:     e.recovery,
-		lastSiftSize: e.lastSiftSize,
-		peakNodes:    m2.NodeCount(),
-	}
 }
 
 // sharedState coordinates the engines sharing one BDD table. The lock
@@ -551,7 +507,6 @@ func (e *Engine) Share() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
-		fullScan:     e.fullScan,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		shared:       e.shared,
@@ -773,7 +728,7 @@ func (e *Engine) recoverLadder() {
 	passes := e.recovery.SiftPasses
 	if e.siftSize() > 0 {
 		// The good functions cannot change, so one sift per good set is all
-		// that can ever help (clones and shared views inherit the order).
+		// that can ever help (shared views inherit the order).
 		passes = 0
 	}
 	roots, res := e.m.ReduceUnder(e.good, e.recovery.NodeLimit, passes)
@@ -1107,7 +1062,7 @@ func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 // propagateSeedsFullScan is the historical O(|circuit|) propagation: every
 // gate is examined in index order and selective trace skips those with
 // all-False input differences. Kept as the differential-testing
-// reference for the worklist (see SetFullScanReference).
+// reference for the worklist (see the fullScan field).
 func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 	var clk time.Time
 	if e.phaseClock {
@@ -1306,7 +1261,7 @@ func (e *Engine) GateSubstitution(gate int, wrongType netlist.GateType) Result {
 }
 
 // FeedbackChecker returns the engine's fan-out reachability table (built
-// in New, immutable, aliased by every Share view and Clone). It screens
+// in New, immutable, aliased by every Share view). It screens
 // feedback bridges in O(1) per pair and provides the packed cone rows the
 // worklist propagation merges per fault.
 func (e *Engine) FeedbackChecker() *faults.Reachability {

@@ -162,10 +162,6 @@ func TestRecoverSiftRungFiresOnce(t *testing.T) {
 	if got := scalars(e.StuckAt(fs[heavy])); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-sift result %+v != reference %+v", got, want)
 	}
-	// Clones inherit the sifted order and its once-only guard.
-	if cl := e.Clone(); cl.lastSiftSize == 0 {
-		t.Fatal("clone dropped the sift-once guard")
-	}
 }
 
 func TestRelaxBudgetScalesAndRestores(t *testing.T) {
@@ -253,7 +249,7 @@ func TestRetryRungRescuesBlownFault(t *testing.T) {
 	}
 }
 
-func TestCloneCopiesRecovery(t *testing.T) {
+func TestShareCopiesRecovery(t *testing.T) {
 	c := circuits.MustGet("c95s")
 	e, err := New(c, nil)
 	if err != nil {
@@ -261,7 +257,7 @@ func TestCloneCopiesRecovery(t *testing.T) {
 	}
 	r := Recovery{NodeLimit: 1 << 20, SiftPasses: 3, RetryMultiplier: 4}
 	e.SetRecovery(r)
-	if got := e.Clone().Recovery(); got != r {
-		t.Fatalf("clone recovery = %+v, want %+v", got, r)
+	if got := e.Share().Recovery(); got != r {
+		t.Fatalf("view recovery = %+v, want %+v", got, r)
 	}
 }

@@ -28,7 +28,7 @@ func pair(t *testing.T, c *netlist.Circuit) (wl, fs *Engine) {
 	if fs, err = New(c, nil); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetFullScanReference(true)
+	fs.fullScan = true
 	return wl, fs
 }
 
@@ -186,14 +186,14 @@ func TestWorklistBudgetAbortMatchesFullScan(t *testing.T) {
 			got, abort := analyzeAborting(t, eng, f)
 			restore()
 			if abort != nil {
-				t.Fatalf("%v: relaxed retry aborted with %v (fullscan=%v)", f.Describe(c), abort, eng.FullScanReference())
+				t.Fatalf("%v: relaxed retry aborted with %v (fullscan=%v)", f.Describe(c), abort, eng.fullScan)
 			}
 			got.PerPO, got.Complete = nil, bdd.False
 			got.ObservedPOs = append([]int(nil), got.ObservedPOs...)
 			want.ObservedPOs = append([]int(nil), want.ObservedPOs...)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v: retry result %+v != reference %+v (fullscan=%v)",
-					f.Describe(c), got, want, eng.FullScanReference())
+					f.Describe(c), got, want, eng.fullScan)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/atpg"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/diffprop"
 	"repro/internal/faults"
 	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scoap"
 	"repro/internal/simulate"
@@ -49,47 +47,20 @@ type Config struct {
 	// DistanceCircuit names the circuit of Figures 3 and 8 (the paper's
 	// C1355).
 	DistanceCircuit string
-	// Workers sets the analysis parallelism (0 = one worker per CPU).
-	Workers int
-	// FaultOps and FaultTimeout bound each fault analysis (zero =
-	// unlimited); faults blowing either budget degrade to random-vector
-	// estimates marked Approximate in the studies (see
-	// analysis.CampaignConfig).
-	FaultOps     int64
-	FaultTimeout time.Duration
-	// Recovery configures the per-engine recovery ladder (GC, sifting, one
-	// relaxed-budget retry) applied before any fault degrades; the zero
-	// value disables it (see diffprop.Recovery).
-	Recovery diffprop.Recovery
-	// MemLimit is the campaign heap ceiling in bytes: workers park near it
-	// instead of growing the heap further (see analysis.CampaignConfig).
-	MemLimit int64
-	// Calibrate enables budget self-calibration on every campaign the
-	// runner launches: per-fault budgets and the retry ladder are learned
-	// from each circuit's measured op-cost distribution instead of the
-	// hand-tuned FaultOps/Recovery knobs (see analysis.Calibration).
-	Calibrate analysis.Calibration
-	// Order selects the fault dispatch policy of every campaign the
-	// runner launches (see analysis.OrderPolicy); results are
-	// bit-identical under any policy, only throughput changes.
-	Order analysis.OrderPolicy
-	// FullScan forces the full-gate-scan propagation reference on every
-	// campaign (the differential-testing baseline; see
-	// analysis.CampaignConfig.FullScan).
-	FullScan bool
+	// Campaign is the base configuration of every fault-analysis
+	// campaign the runner launches: parallelism, dispatch order,
+	// per-fault budgets and recovery ladder, heap ceiling, calibration and
+	// observer (see analysis.CampaignConfig). All campaigns of a run
+	// share its one Obs, so a flight dump covers the whole
+	// figure-generation sequence. The runner sets Name and Progress per
+	// campaign and Resume for supervised ones; Checkpoint must stay nil
+	// (every campaign would append to it).
+	Campaign analysis.CampaignConfig
 	// Progress, when non-nil, observes every fault-analysis campaign the
 	// runner launches: the circuit being studied plus done/total fault
 	// counts. Callbacks arrive serially per campaign. Used by cmd/figures
 	// -v to stream progress to stderr.
 	Progress func(circuit string, done, total int)
-	// Obs, when non-nil, attaches the observability layer to every
-	// campaign the runner launches: live /progress and /timeline
-	// heartbeats, metrics, structured logs, per-fault traces, and —
-	// when Obs.Flight is set — flight-recorder events for cmd/obsreport
-	// post-mortems (see analysis.CampaignConfig.Obs). All campaigns of
-	// a run share the one observer, so a flight dump covers the whole
-	// figure-generation sequence.
-	Obs *obs.Observer
 	// Shards, when positive, runs every catalog-circuit study campaign
 	// under the crash-tolerant process supervisor instead of in-process:
 	// the fault set is partitioned into Shards lease-tracked shards, each
@@ -182,21 +153,11 @@ func (r *Runner) TestSet(name string) ([][]bool, error) {
 // Config returns the runner's configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// campaignConfig adapts the runner's worker count and progress callback to
-// one named campaign.
+// campaignConfig adapts the runner's base campaign configuration and
+// progress callback to one named campaign.
 func (r *Runner) campaignConfig(label string) analysis.CampaignConfig {
-	cfg := analysis.CampaignConfig{
-		Workers:      r.cfg.Workers,
-		FaultOps:     r.cfg.FaultOps,
-		FaultTimeout: r.cfg.FaultTimeout,
-		Recovery:     r.cfg.Recovery,
-		MemLimit:     r.cfg.MemLimit,
-		Calibrate:    r.cfg.Calibrate,
-		Order:        r.cfg.Order,
-		FullScan:     r.cfg.FullScan,
-		Obs:          r.cfg.Obs,
-		Name:         label,
-	}
+	cfg := r.cfg.Campaign
+	cfg.Name = label
 	if p := r.cfg.Progress; p != nil {
 		cfg.Progress = func(done, total int) { p(label, done, total) }
 	}

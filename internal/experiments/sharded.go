@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/analysis"
+	"repro/internal/campaignflags"
 )
 
 // shardedRecords runs one supervised, crash-tolerant campaign by exec'ing
@@ -34,7 +35,7 @@ func (r *Runner) shardedRecords(name, model string, total int) (map[int]json.Raw
 		return nil, fmt.Errorf("experiments: shard dir: %w", err)
 	}
 	ckpt := filepath.Join(cfg.ShardDir, fmt.Sprintf("%s-%s.jsonl", name, model))
-	args := []string{
+	args := append([]string{
 		"-circuit", name,
 		"-model", model,
 		"-shards", fmt.Sprint(cfg.Shards),
@@ -43,33 +44,7 @@ func (r *Runner) shardedRecords(name, model string, total int) (map[int]json.Raw
 		"-maxbfs", fmt.Sprint(cfg.MaxBFs),
 		"-theta", fmt.Sprint(cfg.Theta),
 		"-seed", fmt.Sprint(cfg.Seed),
-		"-workers", fmt.Sprint(cfg.Workers),
-		"-order", cfg.Order.String(),
-	}
-	if cfg.FaultOps > 0 {
-		args = append(args, "-budget", fmt.Sprint(cfg.FaultOps))
-	}
-	if cfg.FaultTimeout > 0 {
-		args = append(args, "-timeout", cfg.FaultTimeout.String())
-	}
-	if cfg.Recovery.NodeLimit > 0 {
-		args = append(args, "-nodelimit", fmt.Sprint(cfg.Recovery.NodeLimit))
-	}
-	if cfg.Recovery.SiftPasses > 0 {
-		args = append(args, "-gcauto")
-	}
-	if cfg.Recovery.RetryMultiplier > 1 {
-		args = append(args, "-retrybudget", fmt.Sprint(cfg.Recovery.RetryMultiplier))
-	}
-	if cfg.MemLimit > 0 {
-		args = append(args, "-memlimit", fmt.Sprintf("%dB", cfg.MemLimit))
-	}
-	if cfg.Calibrate.Enabled {
-		args = append(args, "-calibrate")
-	}
-	if cfg.FullScan {
-		args = append(args, "-fullscan")
-	}
+	}, campaignflags.Args(cfg.Campaign)...)
 	cmd := exec.Command(cfg.WorkerBinary, args...)
 	cmd.Stdout = io.Discard // the human report; the checkpoint is the output
 	cmd.Stderr = os.Stderr

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/faults"
 )
 
@@ -32,6 +33,12 @@ func TestShardedStudiesMatchInProcess(t *testing.T) {
 	base := QuickConfig()
 	base.Circuits = []string{"c17"}
 	base.MaxBFs = 20
+	// Non-default knobs travel the figures-to-diffprop command line; a
+	// flag the subprocess rejects fails the supervised campaign.
+	base.Campaign = analysis.CampaignConfig{
+		Order:     analysis.OrderCone,
+		Calibrate: analysis.Calibration{Enabled: true},
+	}
 
 	inproc := NewRunner(base)
 

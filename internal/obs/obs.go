@@ -256,7 +256,7 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		BDDNodes:          r.Gauge("bdd_nodes", "Most recently observed BDD node-table size of any worker engine."),
 		BDDPeakNodes:      r.Gauge("bdd_peak_nodes", "Largest BDD node table any single engine reached."),
 		BDDRebuilds:       r.Counter("bdd_rebuilds_total", "Generational BDD-manager GC passes over all engines."),
-		BDDTableViews:     r.Gauge("bdd_table_views", "Manager views sharing the campaign's BDD node table (1 per worker when shared; 1 when isolated)."),
+		BDDTableViews:     r.Gauge("bdd_table_views", "Manager views sharing the campaign's BDD node table (one per worker)."),
 		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the shared node table (bumps on GC/sift)."),
 		CacheHits:         r.Counter("bdd_cache_hits_total", "BDD apply/ite/not operation-cache hits."),
 		CacheMisses:       r.Counter("bdd_cache_misses_total", "BDD apply/ite/not operation-cache misses."),
