@@ -117,8 +117,12 @@ func siteDistances(c *netlist.Circuit, f faults.StuckAt, toPO, levels []int) (in
 // truth for both the serial and the work-stealing runners, which keeps
 // parallel results bit-identical to serial ones by construction.
 func stuckAtRecord(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int) StuckAtRecord {
+	return recordStuckAt(e, f, e.StuckAt(f), toPO, levels)
+}
+
+// recordStuckAt builds the record of fault f from its analysis result.
+func recordStuckAt(e *diffprop.Engine, f faults.StuckAt, res diffprop.Result, toPO, levels []int) StuckAtRecord {
 	c := e.Circuit
-	res := e.StuckAt(f)
 	ub := e.StuckAtUpperBound(f)
 	a, ok := diffprop.Adherence(res.Detectability, ub)
 	dist, lvl := siteDistances(c, f, toPO, levels)

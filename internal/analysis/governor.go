@@ -106,6 +106,10 @@ func newGovernor(cfg CampaignConfig, workers int, instr *campaignInstr) *governo
 		g.sample = heapSample
 	}
 	g.cond = sync.NewCond(&g.mu)
+	// Sample once before any worker is admitted: a campaign that starts
+	// over the ceiling parks from its first claim, not one tick later —
+	// by which time a short campaign may have drained.
+	g.observe()
 	go g.monitor()
 	return g
 }
@@ -121,19 +125,25 @@ func (g *governor) monitor() {
 			return
 		case <-ticker.C:
 		}
-		heap := g.sample()
-		g.mu.Lock()
-		g.lastHeap = heap
-		switch {
-		case !g.pressured && heap >= g.hi:
-			g.pressured = true
-		case g.pressured && heap <= g.lo:
-			g.pressured = false
-			g.cond.Broadcast()
-		}
-		g.mu.Unlock()
-		g.instr.governorHeap(heap)
+		g.observe()
 	}
+}
+
+// observe takes one heap sample and moves the pressure state across the
+// watermarks.
+func (g *governor) observe() {
+	heap := g.sample()
+	g.mu.Lock()
+	g.lastHeap = heap
+	switch {
+	case !g.pressured && heap >= g.hi:
+		g.pressured = true
+	case g.pressured && heap <= g.lo:
+		g.pressured = false
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
+	g.instr.governorHeap(heap)
 }
 
 // admit gates one worker between faults. Worker 0 passes straight through

@@ -156,7 +156,26 @@ func (in *campaignInstr) faultDone(e *diffprop.Engine, worker, i int, outcome fa
 	if in == nil {
 		return
 	}
-	dur := time.Since(start)
+	in.record(e, worker, i, outcome, start, time.Since(start), 1)
+}
+
+// unitDone records the faults idx of one unit answered by a single shared
+// walk that began at start: each fault gets an equal slice of the unit's
+// wall time, ops and phase times, laid end to end from start, so the
+// per-fault channels add up to the unit's cost.
+func (in *campaignInstr) unitDone(e *diffprop.Engine, worker int, idx []int, start time.Time) {
+	if in == nil {
+		return
+	}
+	dur := time.Since(start) / time.Duration(len(idx))
+	for k, i := range idx {
+		in.record(e, worker, i, outcomeExact, start.Add(time.Duration(k)*dur), dur, len(idx))
+	}
+}
+
+// record is faultDone for a fault charged dur of wall time and 1/share
+// of the engine's last analysis.
+func (in *campaignInstr) record(e *diffprop.Engine, worker, i int, outcome faultOutcome, start time.Time, dur time.Duration, share int) {
 	oc := obs.OutcomeExact
 	switch outcome {
 	case outcomeDegraded, outcomeDegradedAfterRetry:
@@ -183,7 +202,7 @@ func (in *campaignInstr) faultDone(e *diffprop.Engine, worker, i int, outcome fa
 	in.cm.BDDNodes.Set(int64(e.Manager().NodeCount()))
 	in.cm.BDDTableEpoch.Set(int64(e.Manager().TableEpoch()))
 	in.flight.Record(obs.FlightFaultDone, obs.FlightOutcomeLabel(oc), worker, i,
-		dur.Microseconds(), e.AnalysisOps())
+		dur.Microseconds(), e.AnalysisOps()/int64(share))
 	if in.lastHits != nil && worker < len(in.lastHits) {
 		h, m := e.CacheTraffic()
 		in.cm.CacheHitsLive.Add(h - in.lastHits[worker])
@@ -219,7 +238,7 @@ func (in *campaignInstr) faultDone(e *diffprop.Engine, worker, i int, outcome fa
 			"index", i, "fault", in.faultName(i), "elapsed", dur)
 	}
 	if t := in.o.Tracer; t.Enabled() {
-		ph := e.LastPhases()
+		ph, n := e.LastPhases(), time.Duration(share)
 		t.Emit(obs.FaultSpan{ //nolint:errcheck // tracing is best-effort
 			Index:     i,
 			Fault:     in.faultName(i),
@@ -227,9 +246,9 @@ func (in *campaignInstr) faultDone(e *diffprop.Engine, worker, i int, outcome fa
 			Outcome:   oc.String(),
 			Start:     start,
 			Dur:       dur,
-			Build:     ph.Build,
-			Propagate: ph.Propagate,
-			SatCount:  ph.SatCount,
+			Build:     ph.Build / n,
+			Propagate: ph.Propagate / n,
+			SatCount:  ph.SatCount / n,
 		})
 	}
 }
@@ -320,6 +339,7 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 		"faults", stats.Faults, "degraded", stats.Degraded, "errored", stats.Errored,
 		"retried", stats.Retried, "rescued", stats.Rescued,
 		"resumed", stats.Resumed, "skipped", snap.Skipped, "canceled", stats.Canceled,
+		"shared_units", stats.SharedUnits,
 		"order", stats.Order.String(),
 		"gates_visited", stats.GatesVisited, "gates_skipped", stats.GatesSkipped,
 		"elapsed", stats.Elapsed, "gate_evals", stats.GateEvaluations,

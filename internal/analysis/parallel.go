@@ -153,10 +153,11 @@ type CampaignStats struct {
 	// GateEvaluations totals the gates whose difference function was
 	// computed across all faults; selective trace skipped the rest.
 	GateEvaluations int64
-	// GatesVisited totals the gates every propagation loop examined and
-	// GatesSkipped the gates cone-restricted propagation never touched;
-	// their sum is analyses × gate count, and the skipped share is the
-	// structural saving over the full-scan reference.
+	// GatesVisited totals the gates every fault's propagation examined and
+	// GatesSkipped the gates cone-restricted propagation never touched
+	// (a shared walk counts once per fault it answers); their sum is
+	// analyses × gate count, and the skipped share is the structural
+	// saving over the full-scan reference.
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational BDD-manager GC passes over all engines.
@@ -190,6 +191,9 @@ type CampaignStats struct {
 	// are counted in Faults as exact records, not in Degraded).
 	Retried int
 	Rescued int
+	// SharedUnits counts the units whose faults — both stuck-at polarities
+	// of one primary input — were all answered by one shared propagation.
+	SharedUnits int
 	// MemParkEvents counts worker park transitions under heap pressure and
 	// MaxParked the most workers simultaneously parked.
 	MemParkEvents int
@@ -217,6 +221,9 @@ func (s CampaignStats) String() string {
 	}
 	if total := s.GatesVisited + s.GatesSkipped; total > 0 && s.GatesSkipped > 0 {
 		out += fmt.Sprintf(" cone-skip=%.1f%%", 100*float64(s.GatesSkipped)/float64(total))
+	}
+	if s.SharedUnits > 0 {
+		out += fmt.Sprintf(" shared-units=%d", s.SharedUnits)
 	}
 	if s.Resumed > 0 {
 		out += fmt.Sprintf(" resumed=%d", s.Resumed)
@@ -253,8 +260,9 @@ func (s CampaignStats) String() string {
 // diffprop.Stats — the type whose Merge method defines the one aggregation
 // rule for combining per-engine counters (sum the additive counters, max
 // the PeakNodes high-water mark, accumulate the cache stats). Analyses is
-// left zero: CampaignStats.Faults counts faults, not engine propagations
-// (one fault may run several).
+// left zero: CampaignStats.Faults counts faults, not engine propagations —
+// one fault may run several (the recovery ladder's retry), and one
+// propagation can serve several faults (a shared primary-input walk).
 func (s *CampaignStats) EngineStats() diffprop.Stats {
 	return diffprop.Stats{
 		GateEvaluations: s.GateEvaluations,
@@ -325,6 +333,12 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // none) marks indices restored from a checkpoint, which are counted as
 // done without being re-analyzed.
 //
+// units (nil = every fault alone) groups the positions whose faults one
+// shared propagation can answer; a worker takes a unit whole, hands it to
+// units.run, and analyzes its faults one by one when the shared walk
+// aborts. Per-fault latency and calibration samples of a shared unit are
+// its wall time and ops divided by its fault count.
+//
 // Workers claim guided-size blocks of contiguous dispatch positions
 // rather than single faults: neighboring faults share fan-out cones, so
 // analyzing them on the same engine keeps its operation caches warm
@@ -346,7 +360,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // worker between faults: one atomic generation load on the hot path, a
 // re-arm of the worker's own engine when the calibrator published new
 // bounds — never touching an engine whose fault is in flight.
-func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, sched *schedule, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
+func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, sched *schedule, units *siteUnits, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
 	start := time.Now()
 	ctx := cfg.ctx()
 	instr.setup(engines)
@@ -356,9 +370,10 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 	gov := newGovernor(cfg, len(engines), instr)
 	defer gov.stop()
 	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
+		next   atomic.Int64
+		stop   atomic.Bool
+		shared atomic.Int64 // units answered by one shared walk
+		wg     sync.WaitGroup
 
 		mu       sync.Mutex // guards the counters below and serializes Progress
 		done     int
@@ -381,6 +396,34 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 		cfg.Progress(done, total)
 	}
 	halted := func() bool { return stop.Load() || ctx.Err() != nil }
+	// finish counts one analyzed fault and reports progress.
+	finish := func(outcome faultOutcome, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		analyzed++
+		switch outcome {
+		case outcomeDegraded:
+			degraded++
+		case outcomeDegradedAfterRetry:
+			degraded++
+			retried++
+		case outcomeRescued:
+			retried++
+			rescued++
+		case outcomeErrored:
+			errored++
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			stop.Store(true)
+		}
+		if cfg.Progress != nil {
+			cfg.Progress(done, total)
+		}
+	}
 	for w, e := range engines {
 		wg.Add(1)
 		go func(w int, e *diffprop.Engine) {
@@ -392,6 +435,7 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 			defer gov.release()
 			instr.workerStart(w)
 			var calGen uint64
+			var idx []int // the faults of the unit in hand
 			for {
 				if halted() {
 					return
@@ -411,15 +455,21 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 				}
 				// Cluster-aligned claiming: trim the block to the cone
 				// cluster boundary before racing for it, so a cluster is
-				// analyzed by one engine unless it outgrows the block.
-				hi = sched.trim(lo, hi)
+				// analyzed by one engine unless it outgrows the block. A
+				// claim never splits a unit.
+				hi = units.align(sched.trim(lo, hi))
 				if !next.CompareAndSwap(int64(lo), int64(hi)) {
 					continue
 				}
 				instr.workerClaim(w, lo, hi-lo)
-				for j := lo; j < hi; j++ {
-					i := sched.index(j)
-					if skip != nil && skip[i] {
+				for j := lo; j < hi; j = units.unitEnd(j) {
+					idx = idx[:0]
+					for p := j; p < units.unitEnd(j); p++ {
+						if i := sched.index(p); skip == nil || !skip[i] {
+							idx = append(idx, i)
+						}
+					}
+					if len(idx) == 0 {
 						continue
 					}
 					if halted() {
@@ -429,42 +479,49 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 						calGen = cal.apply(e, calGen)
 					}
 					t0 := instr.faultStart()
-					// Shared engines analyze under the table's read lock so
-					// recovery ladders and governor GCs on sibling views
-					// cannot re-root the good functions mid-fault. Unshared
-					// engines get a no-op unlock.
-					unlock := e.AnalysisLock()
-					outcome, err := analyze(e, w, i)
-					unlock()
-					if cal != nil {
-						cal.observe(outcome, e.AnalysisOps())
-					}
-					instr.faultDone(e, w, i, outcome, t0)
-					mu.Lock()
-					done++
-					analyzed++
-					switch outcome {
-					case outcomeDegraded:
-						degraded++
-					case outcomeDegradedAfterRetry:
-						degraded++
-						retried++
-					case outcomeRescued:
-						retried++
-						rescued++
-					case outcomeErrored:
-						errored++
-					}
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
+					if len(idx) > 1 {
+						unlock := e.AnalysisLock()
+						ok, err := units.run(e, w, idx)
+						unlock()
+						if ok {
+							// The calibrated budget stays a per-fault
+							// quantity: each fault is charged its share.
+							ops := e.AnalysisOps() / int64(len(idx))
+							for range idx {
+								cal.observe(outcomeExact, ops)
+							}
+							instr.unitDone(e, w, idx, t0)
+							shared.Add(1)
+							for range idx {
+								finish(outcomeExact, err)
+								err = nil
+							}
+							continue
 						}
-						stop.Store(true)
+						// The walk aborted or panicked: each fault takes the
+						// per-fault path, the first one charged the wasted
+						// walk's time.
 					}
-					if cfg.Progress != nil {
-						cfg.Progress(done, total)
+					for _, i := range idx {
+						if i != idx[0] {
+							if halted() {
+								return
+							}
+							t0 = instr.faultStart()
+						}
+						// Shared engines analyze under the table's read lock
+						// so recovery ladders and governor GCs on sibling
+						// views cannot re-root the good functions mid-fault.
+						// Unshared engines get a no-op unlock.
+						unlock := e.AnalysisLock()
+						outcome, err := analyze(e, w, i)
+						unlock()
+						if cal != nil {
+							cal.observe(outcome, e.AnalysisOps())
+						}
+						instr.faultDone(e, w, i, outcome, t0)
+						finish(outcome, err)
 					}
-					mu.Unlock()
 				}
 			}
 		}(w, e)
@@ -483,6 +540,7 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 		Retried:  retried,
 		Rescued:  rescued,
 	}
+	stats.SharedUnits = int(shared.Load())
 	stats.MemParkEvents, stats.MaxParked = gov.counters()
 	stats.ChaosInjected = inj.Injected()
 	stats.CalibrationBudgetOps, stats.CalibrationRetryMult, stats.CalibrationUpdates = cal.snapshot()
@@ -556,9 +614,11 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 // over cfg.Workers shared engine views and returns a study whose Records are
 // bit-identical and index-aligned to the serial RunStuckAt: every fault is
 // analyzed exactly, so the scheduling cannot change any result, only the
-// wall clock. Fault sites must refer to the two-input decomposition of c
-// (the working circuit of any engine built from c), which is
-// deterministic.
+// wall clock. Adjacent faults on one primary input form a unit answered by
+// one shared propagation (diffprop.Engine.StuckAtPI), which yields the
+// per-fault records bit for bit. Fault sites must refer to the two-input
+// decomposition of c (the working circuit of any engine built from c),
+// which is deterministic.
 func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, cfg CampaignConfig) (StuckAtStudy, error) {
 	engines, err := prepareEngines(c, opts, len(fs), cfg)
 	if err != nil {
@@ -586,9 +646,38 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	})
 	inj := newCampaignInjector(cfg, instr)
 	cal := newCalibrator(cfg, instr)
+	draws := newChaosDraws(inj, len(fs))
 	analyzed := make([]bool, len(fs))
-	stats, runErr := runCampaign(engines, len(fs), cfg, skip, sched, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
-		rec, outcome := analyzeStuckAt(e, fs[i], toPO, levels, fb, chaosHook(inj, e, i), instr.ladderHook(w, i))
+	units := newSiteUnits(len(fs), sched, func(i int) int {
+		// A malformed site stays alone, to earn its per-fault error record.
+		if f := fs[i]; !f.IsBranch() && f.Net >= 0 && f.Net < work.NumNets() && work.IsInput(f.Net) {
+			return f.Net
+		}
+		return -1
+	}, func(e *diffprop.Engine, w int, idx []int) (bool, error) {
+		// A fault with a chaos injection keeps its per-fault semantics.
+		if draws.any(e, idx) {
+			return false, nil
+		}
+		recs, ok := tryStuckAtUnit(e, fs, idx, toPO, levels)
+		if !ok {
+			return false, nil
+		}
+		for k, i := range idx {
+			records[i] = recs[k]
+			analyzed[i] = true
+		}
+		if cfg.Checkpoint != nil {
+			for _, i := range idx {
+				if err := cfg.Checkpoint.Append(i, records[i]); err != nil {
+					return true, err
+				}
+			}
+		}
+		return true, nil
+	})
+	stats, runErr := runCampaign(engines, len(fs), cfg, skip, sched, units, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+		rec, outcome := analyzeStuckAt(e, fs[i], toPO, levels, fb, draws.hook(e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true
 		if cfg.Checkpoint != nil {
@@ -639,9 +728,10 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	})
 	inj := newCampaignInjector(cfg, instr)
 	cal := newCalibrator(cfg, instr)
+	draws := newChaosDraws(inj, len(bs))
 	analyzed := make([]bool, len(bs))
-	stats, runErr := runCampaign(engines, len(bs), cfg, skip, sched, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
-		rec, outcome := analyzeBridging(e, bs[i], toPO, fb, chaosHook(inj, e, i), instr.ladderHook(w, i))
+	stats, runErr := runCampaign(engines, len(bs), cfg, skip, sched, nil, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+		rec, outcome := analyzeBridging(e, bs[i], toPO, fb, draws.hook(e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true
 		if cfg.Checkpoint != nil {

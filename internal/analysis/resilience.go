@@ -210,39 +210,116 @@ func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb
 	}, outcome
 }
 
-// chaosHook builds the per-fault injection hook for fault i, or nil when
-// the harness is off (no closure is allocated then, preserving the
-// zero-alloc hot path). The hook runs inside the try* recover scope,
-// before the analysis touches the engine:
+// chaosDraws holds one campaign's per-fault chaos decisions. Each fault's
+// injections are drawn once, the first time the fault is considered —
+// before its unit's shared walk, or before its own analysis — and every
+// later consultation replays the same draw, so a fault whose unit falls
+// back to per-fault analysis is not injected twice. A fault is only ever
+// handled by the worker that claimed its unit, so slots need no locking.
+// A nil *chaosDraws (chaos off) draws nothing and allocates nothing.
+type chaosDraws struct {
+	inj   *chaos.Injector
+	drawn []bool
+	hooks []func()
+}
+
+// newChaosDraws returns the draw table of a campaign over total faults,
+// or nil when the harness is off.
+func newChaosDraws(inj *chaos.Injector, total int) *chaosDraws {
+	if inj == nil {
+		return nil
+	}
+	return &chaosDraws{inj: inj, drawn: make([]bool, total), hooks: make([]func(), total)}
+}
+
+// hook returns fault i's injection hook, or nil when nothing fires for
+// it. The hook runs inside the try* recover scope, before the analysis
+// touches the engine:
 //
-//   - a process-level crash (workerkill/shardtear) fires first — the
-//     fault "arrives" and the worker dies before touching it, so its
+//   - a process-level crash (workerkill/shardtear) fires at the draw —
+//     the fault "arrives" and the worker dies before touching it, so its
 //     record is exactly what a resuming worker recomputes,
-//   - injected latency sleeps next (simulating a slow fault),
+//   - injected latency sleeps first (simulating a slow fault),
 //   - a forced budget/node-limit abort is armed on the engine, to fire at
 //     the chosen charged operation of THIS analysis only (one-shot, so
 //     the ladder's retry completes exactly),
 //   - an injected worker panic raises last, with a per-fault-stable error
 //     so serial and parallel error records stay bit-identical.
-func chaosHook(inj *chaos.Injector, e *diffprop.Engine, i int) func() {
-	if inj == nil {
+func (d *chaosDraws) hook(e *diffprop.Engine, i int) func() {
+	if d == nil {
 		return nil
 	}
-	return func() {
-		inj.WorkerCrash(i)
-		if d := inj.Latency(i); d > 0 {
-			time.Sleep(d)
+	if d.drawn[i] {
+		return d.hooks[i]
+	}
+	d.drawn[i] = true
+	inj := d.inj
+	inj.WorkerCrash(i)
+	latency := inj.Latency(i)
+	var abortAt int64
+	var abortErr error
+	if at, ok := inj.BudgetAbort(i); ok {
+		abortAt, abortErr = at, bdd.ErrBudget
+	}
+	if at, ok := inj.NodeLimitAbort(i); ok {
+		abortAt, abortErr = at, bdd.ErrNodeLimit
+	}
+	panics := inj.Panic(i)
+	if latency <= 0 && abortAt == 0 && !panics {
+		return nil
+	}
+	d.hooks[i] = func() {
+		if latency > 0 {
+			time.Sleep(latency)
 		}
-		if at, ok := inj.BudgetAbort(i); ok {
-			e.ArmChaosAbort(at, bdd.ErrBudget)
+		if abortAt > 0 {
+			e.ArmChaosAbort(abortAt, abortErr)
 		}
-		if at, ok := inj.NodeLimitAbort(i); ok {
-			e.ArmChaosAbort(at, bdd.ErrNodeLimit)
-		}
-		if inj.Panic(i) {
+		if panics {
 			panic(fmt.Errorf("%w (fault %d)", chaos.ErrInjectedPanic, i))
 		}
 	}
+	return d.hooks[i]
+}
+
+// any draws the faults idx and reports whether an injection fires for
+// any of them.
+func (d *chaosDraws) any(e *diffprop.Engine, idx []int) bool {
+	for _, i := range idx {
+		if d.hook(e, i) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// tryStuckAtUnit analyzes the faults fs[idx], all on one primary input,
+// from one shared propagation under the per-fault budget scaled by their
+// count. ok is false when the walk aborted or panicked: the engine is
+// recovered, nothing is returned, and the caller analyzes each fault
+// through analyzeStuckAt, whose ladder, degradation and error records are
+// the per-fault ones.
+func tryStuckAtUnit(e *diffprop.Engine, fs []faults.StuckAt, idx []int, toPO, levels []int) (recs []StuckAtRecord, ok bool) {
+	budget := e.FaultBudget()
+	n := len(idx)
+	e.SetFaultBudget(diffprop.FaultBudget{Ops: budget.Ops * int64(n), Wall: budget.Wall * time.Duration(n)})
+	defer func() {
+		e.SetFaultBudget(budget)
+		if r := recover(); r != nil {
+			e.Recover()
+			recs, ok = nil, false
+		}
+	}()
+	stuck := make([]bool, n)
+	for k, i := range idx {
+		stuck[k] = fs[i].Stuck
+	}
+	res := e.StuckAtPI(fs[idx[0]].Net, stuck)
+	recs = make([]StuckAtRecord, n)
+	for k, i := range idx {
+		recs[k] = recordStuckAt(e, fs[i], res[k], toPO, levels)
+	}
+	return recs, true
 }
 
 // analyzeBridging is the bridging counterpart of analyzeStuckAt. A budget

@@ -54,9 +54,6 @@ func GenerateStuckAt(e *diffprop.Engine, fs []faults.StuckAt, seed int64) Result
 		v2i := e.VarToInput()
 		vec := make([]bool, len(c.Inputs))
 		for v, s := range cube {
-			if v2i[v] < 0 {
-				continue // cut variable: no corresponding input
-			}
 			switch s {
 			case 1:
 				vec[v2i[v]] = true

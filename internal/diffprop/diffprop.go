@@ -93,17 +93,6 @@ type Options struct {
 	// manager when the node table exceeds this size. Zero selects a
 	// default.
 	RebuildLimit int
-	// CutThreshold enables the paper's functional decomposition speedup
-	// (§4.2, ref [21]): a net whose good-function BDD exceeds this many
-	// nodes is cut — replaced downstream by a fresh cut variable. Results
-	// then become approximations (the decomposition can mask functional
-	// interactions, exactly as the paper warns for its C499-and-larger
-	// Figure 5 data); detectabilities and syndromes are computed over the
-	// extended variable space. Zero disables cutting (exact analysis).
-	CutThreshold int
-	// MaxCuts bounds the number of cut variables (default 64). When the
-	// budget is exhausted, later oversized nets are kept exact.
-	MaxCuts int
 }
 
 // Engine analyzes one circuit. A single Engine is not safe for concurrent
@@ -122,15 +111,11 @@ type Engine struct {
 	rebuildLimit int
 	rebuilds     int
 
-	// cutNets lists the nets replaced by cut variables under functional
-	// decomposition (empty for exact analysis).
-	cutNets []int
-
 	syndromes []float64
 	synValid  []bool
 
 	// varToInput maps each BDD variable position to its primary-input
-	// declaration index (-1 for cut variables). The mapping is invariant
+	// declaration index. The mapping is invariant
 	// for the engine's lifetime, so it is computed once in New.
 	varToInput []int
 
@@ -276,17 +261,20 @@ func (e *Engine) ArmChaosAbort(atOps int64, err error) {
 // often the generational GC ran. Aggregated across workers into
 // analysis.CampaignStats.
 type Stats struct {
-	// Analyses counts difference propagations run (one per fault query).
+	// Analyses counts difference propagations run: one per fault query,
+	// and one per StuckAtPI call however many polarities it serves.
 	Analyses int
-	// GateEvaluations totals the gates whose difference function was
-	// computed; selective trace skipped the rest.
+	// GateEvaluations totals, per fault served, the gates whose difference
+	// function was computed (selective trace skipped the rest). A
+	// StuckAtPI walk is credited once per polarity, so the total equals
+	// the sum of the results' GatesEvaluated.
 	GateEvaluations int64
-	// GatesVisited totals the gates the propagation loop examined and
-	// GatesSkipped the gates it never touched: under the cone-restricted
-	// worklist only the seed sites' merged fan-out cone is visited, so
-	// Visited+Skipped = analyses x gate count and Skipped measures the walk
-	// work the cone index saved over the full scan (which visits every
-	// gate, skipping none).
+	// GatesVisited totals, per fault served, the gates the propagation
+	// loop examined and GatesSkipped the gates it never touched: under the
+	// cone-restricted worklist only the seed sites' merged fan-out cone is
+	// visited, so Visited+Skipped = faults x gate count and Skipped
+	// measures the walk work the cone index saved over the full scan
+	// (which visits every gate, skipping none).
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational GC passes of the BDD manager.
@@ -380,19 +368,6 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	} else {
 		order = DFSOrder(work)
 	}
-	cutThreshold := 0
-	maxCuts := 0
-	if opts != nil && opts.CutThreshold > 0 {
-		cutThreshold = opts.CutThreshold
-		maxCuts = opts.MaxCuts
-		if maxCuts <= 0 {
-			maxCuts = 64
-		}
-		// Cut variables sit after the primary inputs in the order.
-		for i := 0; i < maxCuts; i++ {
-			order = append(order, fmt.Sprintf("$cut%d", i))
-		}
-	}
 	m := bdd.New(order...)
 	limit := 4 << 20
 	if opts != nil && opts.RebuildLimit > 0 {
@@ -437,13 +412,6 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 				return nil, fmt.Errorf("diffprop: unsupported gate type %v", g.Type)
 			}
 		}
-		// Functional decomposition: an oversized good function is replaced
-		// downstream by a fresh cut variable.
-		if cutThreshold > 0 && len(e.cutNets) < maxCuts &&
-			!bdd.IsConst(e.good[id]) && m.Size(e.good[id]) > cutThreshold {
-			e.good[id] = m.VarNamed(fmt.Sprintf("$cut%d", len(e.cutNets)))
-			e.cutNets = append(e.cutNets, id)
-		}
 	}
 	e.varToInput = buildVarToInput(work, m)
 	// The reachability table serves double duty as the cone index of the
@@ -455,20 +423,11 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 }
 
 // buildVarToInput computes the BDD-variable-position → primary-input-index
-// mapping (-1 for cut variables).
+// mapping.
 func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
-	names := c.InputNames()
-	pos := make(map[string]int, len(names))
-	for i, n := range names {
-		pos[n] = i
-	}
 	out := make([]int, m.NumVars())
-	for v := range out {
-		if i, ok := pos[m.VarName(v)]; ok {
-			out[v] = i
-		} else {
-			out[v] = -1
-		}
+	for i, n := range c.InputNames() {
+		out[m.VarIndex(n)] = i
 	}
 	return out
 }
@@ -502,7 +461,6 @@ func (e *Engine) Share() *Engine {
 		m:            e.m.Share(),
 		good:         e.good,
 		rebuildLimit: e.rebuildLimit,
-		cutNets:      e.cutNets,
 		syndromes:    append([]float64(nil), e.syndromes...),
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
@@ -540,10 +498,6 @@ func (e *Engine) AnalysisLock() func() {
 	return sh.mu.RUnlock
 }
 
-// CutNets returns the nets replaced by cut variables under functional
-// decomposition; an empty slice means the analysis is exact.
-func (e *Engine) CutNets() []int { return append([]int(nil), e.cutNets...) }
-
 // Manager exposes the engine's BDD manager (for witness extraction,
 // counting, etc.). References into it are invalidated by the next
 // Engine analysis call.
@@ -559,8 +513,7 @@ func (e *Engine) NumVars() int { return e.m.NumVars() }
 func (e *Engine) Rebuilds() int { return e.rebuilds }
 
 // VarToInput returns, for each BDD variable position, the index of the
-// corresponding primary input in circuit declaration order, or -1 for a
-// cut variable introduced by functional decomposition. Needed to
+// corresponding primary input in circuit declaration order. Needed to
 // translate AnySat cubes (variable order) into test vectors (input order).
 // The mapping is invariant for the engine's lifetime and computed once in
 // New; the returned slice is the engine's cached copy and must not be
@@ -568,15 +521,11 @@ func (e *Engine) Rebuilds() int { return e.rebuilds }
 func (e *Engine) VarToInput() []int { return e.varToInput }
 
 // Assignment converts a test vector in primary-input declaration order
-// into a BDD evaluation assignment in variable order. Cut variables (if
-// any) evaluate as false; exact evaluation is only meaningful without
-// functional decomposition.
+// into a BDD evaluation assignment in variable order.
 func (e *Engine) Assignment(vec []bool) []bool {
 	out := make([]bool, len(e.varToInput))
 	for v, i := range e.varToInput {
-		if i >= 0 {
-			out[v] = vec[i]
-		}
+		out[v] = vec[i]
 	}
 	return out
 }
@@ -859,20 +808,40 @@ func (e *Engine) propagate(netSeeds map[int]bdd.Ref, pinSeeds map[pinKey]bdd.Ref
 	return e.propagateSeeds(seeds{net: netSeeds, pin: pinSeeds})
 }
 
-// propagateSeeds dispatches between the cone-restricted worklist (the
-// default) and the retained full-gate-scan reference. The two are
-// bit-identical: a gate outside the seed sites' merged fan-out cone can
-// receive only zero input differences (differences originate at seed
-// sites and flow along fan-out edges, and cones are transitively closed),
-// so the full scan does no BDD work there and the worklist may skip it
-// entirely. Within the cone both walk gates in ascending net id — the
-// topological order Validate guarantees — so they issue the same BDD
-// operations in the same order.
+// propagateSeeds runs the propagation and counts the complete test set.
 func (e *Engine) propagateSeeds(sd seeds) Result {
+	res := e.walk(sd)
+	e.count(&res)
+	return res
+}
+
+// walk runs the propagation, leaving the result's Detectability zero. It
+// dispatches between the cone-restricted worklist (the default) and the
+// retained full-gate-scan reference. The two are bit-identical: a gate
+// outside the seed sites' merged fan-out cone can receive only zero input
+// differences (differences originate at seed sites and flow along fan-out
+// edges, and cones are transitively closed), so the full scan does no BDD
+// work there and the worklist may skip it entirely. Within the cone both
+// walk gates in ascending net id — the topological order Validate
+// guarantees — so they issue the same BDD operations in the same order.
+func (e *Engine) walk(sd seeds) Result {
 	if e.fullScan {
 		return e.propagateSeedsFullScan(sd)
 	}
 	return e.propagateSeedsWorklist(sd)
+}
+
+// count fills a walked result's Detectability, the satisfying-set-count
+// phase of the analysis.
+func (e *Engine) count(res *Result) {
+	var clk time.Time
+	if e.phaseClock {
+		clk = time.Now()
+	}
+	res.Detectability = e.m.SatFrac(res.Complete)
+	if e.phaseClock {
+		e.lastPhases.SatCount += time.Since(clk)
+	}
 }
 
 // pinDelta resolves the difference arriving at one gate input pin:
@@ -1040,13 +1009,7 @@ func (e *Engine) propagateSeedsWorklist(sd seeds) Result {
 		}
 	}
 	if e.phaseClock {
-		now := time.Now()
-		e.lastPhases.Propagate = now.Sub(clk)
-		clk = now
-	}
-	res.Detectability = m.SatFrac(res.Complete)
-	if e.phaseClock {
-		e.lastPhases.SatCount = time.Since(clk)
+		e.lastPhases.Propagate = time.Since(clk)
 	}
 	e.analyses++
 	e.gateEvals += int64(evaluated)
@@ -1139,13 +1102,7 @@ func (e *Engine) propagateSeedsFullScan(sd seeds) Result {
 		}
 	}
 	if e.phaseClock {
-		now := time.Now()
-		e.lastPhases.Propagate = now.Sub(clk)
-		clk = now
-	}
-	res.Detectability = m.SatFrac(res.Complete)
-	if e.phaseClock {
-		e.lastPhases.SatCount = time.Since(clk)
+		e.lastPhases.Propagate = time.Since(clk)
 	}
 	e.analyses++
 	e.gateEvals += int64(evaluated)
@@ -1303,8 +1260,8 @@ func (e *Engine) Bridging(b faults.Bridging) Result {
 //
 //	T(SA0) = f_net ∧ Obs(net),   T(SA1) = ¬f_net ∧ Obs(net),
 //
-// which FactoredStuckAt exploits and the tests verify against the direct
-// difference propagation.
+// which StuckAtPI exploits at primary inputs and the tests verify against
+// the direct difference propagation at every checkpoint site.
 func (e *Engine) Observability(net int) bdd.Ref {
 	e.begin()
 	return e.propagate(map[int]bdd.Ref{net: bdd.True}, nil).Complete
@@ -1318,33 +1275,55 @@ func (e *Engine) PinObservability(gate, pin int) bdd.Ref {
 	return e.propagate(nil, map[pinKey]bdd.Ref{{gate, pin}: bdd.True}).Complete
 }
 
-// FactoredStuckAt computes a stuck-at fault's complete test set the
-// CATAPULT way — observability function ANDed with the excitation
-// condition — rather than by propagating the fault's own difference. The
-// result is identical to StuckAt (verified in tests); the method exists
-// as the baseline DP is contrasted with, and because a net's
-// observability can be shared across both polarities.
-func (e *Engine) FactoredStuckAt(f faults.StuckAt) Result {
-	var obs bdd.Ref
-	if f.IsBranch() {
-		obs = e.PinObservability(f.Gate, f.Pin)
-	} else {
-		obs = e.Observability(f.Net)
+// StuckAtPI analyzes several stuck-at faults on one primary input — one
+// Result per entry of stuck (at least one), in order — from a single
+// propagation: the CATAPULT-style factoring of the paper's §3 contrast,
+// done where it is exact in every reported figure. Seeding bdd.True at
+// input x propagates the Boolean difference Obs_n = f_n|x=0 ⊕ f_n|x=1 to
+// every net n. Obs_n does not depend on x, so the stuck-at-0 difference
+// at n is x ∧ Obs_n and the stuck-at-1 difference ¬x ∧ Obs_n, and either
+// is non-zero exactly where Obs_n is. Each polarity's test set and
+// per-output differences are therefore its excitation ANDed with the
+// shared walk's, while ObservedPOs and GatesEvaluated are the walk's own
+// — bit-for-bit what StuckAt returns for each fault. The whole call is
+// one analysis: one begin, so one budget covers every polarity.
+func (e *Engine) StuckAtPI(net int, stuck []bool) []Result {
+	if !e.Circuit.IsInput(net) || len(stuck) == 0 {
+		panic(fmt.Sprintf("diffprop: StuckAtPI of %d faults on net %s", len(stuck), e.Circuit.NetName(net)))
 	}
+	e.begin()
+	obs := e.walk(seeds{net: map[int]bdd.Ref{net: bdd.True}})
 	m := e.m
-	exc := e.good[f.Net]
-	if f.Stuck {
-		exc = m.Not(exc)
+	out := make([]Result, len(stuck))
+	for k, s := range stuck {
+		exc := e.good[net] // stuck-at-0 is excited wherever the input is 1
+		if s {
+			exc = m.Not(exc)
+		}
+		res := Result{
+			PerPO:          make([]bdd.Ref, len(obs.PerPO)),
+			Complete:       m.And(exc, obs.Complete),
+			ObservedPOs:    append([]int(nil), obs.ObservedPOs...),
+			GatesEvaluated: obs.GatesEvaluated,
+		}
+		for _, i := range obs.ObservedPOs {
+			res.PerPO[i] = m.And(exc, obs.PerPO[i])
+		}
+		e.count(&res)
+		out[k] = res
 	}
-	complete := m.And(exc, obs)
-	res := Result{Complete: complete, Detectability: m.SatFrac(complete)}
-	return res
+	// The walk's gate counters are credited to every fault it served, so
+	// they reconcile with the records; Analyses counts the one walk.
+	extra := int64(len(stuck) - 1)
+	e.gateEvals += int64(obs.GatesEvaluated) * extra
+	e.gatesVisited += int64(e.lastConeGates) * extra
+	e.gatesSkipped += int64(e.Circuit.NumGates()-e.lastConeGates) * extra
+	return out
 }
 
 // WitnessVector extracts one test vector (primary-input declaration
 // order) from a result's complete test set, filling don't-cares with
-// zero. It returns nil for undetectable faults. Only meaningful without
-// functional decomposition (cut variables are ignored).
+// zero. It returns nil for undetectable faults.
 func (e *Engine) WitnessVector(res Result) []bool {
 	cube := e.m.AnySat(res.Complete)
 	if cube == nil {
@@ -1353,7 +1332,7 @@ func (e *Engine) WitnessVector(res Result) []bool {
 	v2i := e.VarToInput()
 	vec := make([]bool, len(e.Circuit.Inputs))
 	for v, s := range cube {
-		if v2i[v] >= 0 && s == 1 {
+		if s == 1 {
 			vec[v2i[v]] = true
 		}
 	}

@@ -482,15 +482,32 @@ func TestMinimalTestCube(t *testing.T) {
 func TestFactoredStuckAtMatchesDifferencePropagation(t *testing.T) {
 	// The CATAPULT-style factored form (excitation ∧ observability) must
 	// produce the identical complete test set BDD as direct difference
-	// propagation — the two methods the paper contrasts in §3.
+	// propagation — the two methods the paper contrasts in §3 — at every
+	// checkpoint site, branches included. Primary-input sites are also
+	// checked through StuckAtPI, which campaigns run.
 	for _, name := range []string{"c17", "fadd", "c95s", "alu181"} {
 		e := newEngine(t, name)
 		w := e.Circuit
+		m := e.Manager()
 		for _, f := range faults.CheckpointStuckAts(w) {
 			direct := e.StuckAt(f).Complete
-			factored := e.FactoredStuckAt(f).Complete
-			if direct != factored {
+			var obs bdd.Ref
+			if f.IsBranch() {
+				obs = e.PinObservability(f.Gate, f.Pin)
+			} else {
+				obs = e.Observability(f.Net)
+			}
+			exc := e.Good(f.Net)
+			if f.Stuck {
+				exc = m.Not(exc)
+			}
+			if m.And(exc, obs) != direct {
 				t.Fatalf("%s %v: factored and direct test sets differ", name, f.Describe(w))
+			}
+			if !f.IsBranch() && w.Gates[f.Net].Type == netlist.Input {
+				if e.StuckAtPI(f.Net, []bool{f.Stuck})[0].Complete != e.StuckAt(f).Complete {
+					t.Fatalf("%s %v: StuckAtPI and direct test sets differ", name, f.Describe(w))
+				}
 			}
 		}
 	}
@@ -518,126 +535,6 @@ func TestObservabilityProperties(t *testing.T) {
 		if m.And(t0, t1) != bdd.False {
 			t.Fatalf("net %s: SA0 and SA1 tests overlap", w.NetName(net))
 		}
-	}
-}
-
-func TestCutDecompositionTriggersAndStaysSane(t *testing.T) {
-	c := circuits.MustGet("c95s")
-	exact := newEngine(t, "c95s")
-	cut, err := New(c, &Options{CutThreshold: 24, MaxCuts: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut.CutNets()) == 0 {
-		t.Fatal("threshold 24 on a multiplier must introduce cuts")
-	}
-	if len(cut.CutNets()) > 16 {
-		t.Fatal("cut budget exceeded")
-	}
-	fs := faults.CheckpointStuckAts(exact.Circuit)
-	var exactMean, cutMean float64
-	n := 0
-	for _, f := range fs {
-		de := exact.StuckAt(f).Detectability
-		dc := cut.StuckAt(f).Detectability
-		if dc < 0 || dc > 1 {
-			t.Fatalf("cut detectability %v out of range for %v", dc, f.Describe(exact.Circuit))
-		}
-		exactMean += de
-		cutMean += dc
-		n++
-	}
-	exactMean /= float64(n)
-	cutMean /= float64(n)
-	// Decomposition is an approximation (the paper's §4.2 caveat), but on
-	// this circuit it must stay in the same regime as the exact figures.
-	if math.Abs(exactMean-cutMean) > 0.15 {
-		t.Fatalf("cut approximation too far off: exact mean %v vs cut mean %v", exactMean, cutMean)
-	}
-}
-
-func TestCutDecompositionMasksBridgingClassification(t *testing.T) {
-	// The paper's §4.2 caveat, reproduced deliberately: "functional
-	// decomposition was used to speed up Difference Propagation, so the
-	// fractions of NFBFs which are also double stuck-at faults ... may not
-	// be completely accurate due to the decomposition masking some
-	// functional interactions."
-	//
-	// u = a∧b and v = ¬a∧¬b are disjoint, so the wired-AND bridge between
-	// them is exactly a double stuck-at-0. Cutting u hides that
-	// interaction: the site function becomes cutvar∧f_v, which is not
-	// constant, and the classification flips.
-	c := netlist.New("caveat")
-	a := c.AddInput("a")
-	b := c.AddInput("b")
-	u := c.AddGate("u", netlist.And, a, b)
-	v := c.AddGate("v", netlist.Nor, a, b)
-	// Consume both so the bridge is meaningful; u's complement-edge BDD
-	// (two decision nodes + the terminal) exceeds a tiny cut threshold.
-	z1 := c.AddGate("z1", netlist.Xor, u, v)
-	c.MarkOutput(z1)
-
-	exact, err := New(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	we := exact.Circuit
-	bf := faults.Bridging{U: we.NetByName("u"), V: we.NetByName("v"), Kind: faults.WiredAND}
-	if !exact.BridgeActsStuckAt(bf) {
-		t.Fatal("disjoint pair must classify as stuck-at under exact analysis")
-	}
-
-	cut, err := New(c, &Options{CutThreshold: 2, MaxCuts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut.CutNets()) == 0 {
-		t.Fatal("cut threshold 2 must cut something")
-	}
-	wc := cut.Circuit
-	bfc := faults.Bridging{U: wc.NetByName("u"), V: wc.NetByName("v"), Kind: faults.WiredAND}
-	if cut.BridgeActsStuckAt(bfc) {
-		t.Fatal("decomposition should mask the interaction — the paper's inaccuracy caveat")
-	}
-}
-
-func TestHugeCutThresholdMatchesExact(t *testing.T) {
-	c := circuits.MustGet("c17")
-	exact := newEngine(t, "c17")
-	cut, err := New(c, &Options{CutThreshold: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut.CutNets()) != 0 {
-		t.Fatal("huge threshold must introduce no cuts")
-	}
-	for _, f := range faults.CheckpointStuckAts(exact.Circuit) {
-		if exact.StuckAt(f).Detectability != cut.StuckAt(f).Detectability {
-			t.Fatal("uncut engine must be exact")
-		}
-	}
-}
-
-func TestVarToInputMarksCutVars(t *testing.T) {
-	c := circuits.MustGet("c95s")
-	cut, err := New(c, &Options{CutThreshold: 24, MaxCuts: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2i := cut.VarToInput()
-	neg := 0
-	for _, i := range v2i {
-		if i < 0 {
-			neg++
-		}
-	}
-	if neg != 8 {
-		t.Fatalf("%d cut variables flagged, want 8", neg)
-	}
-	// Assignment must not panic with cut variables present.
-	vec := make([]bool, len(cut.Circuit.Inputs))
-	if got := cut.Assignment(vec); len(got) != cut.NumVars() {
-		t.Fatal("assignment width wrong")
 	}
 }
 
