@@ -408,89 +408,3 @@ func BenchmarkFaults_EnumerateNFBFs(b *testing.B) {
 		}
 	}
 }
-
-// --- Parallel campaign scheduling ----------------------------------------
-//
-// BenchmarkParallel_StuckAtWorkStealing4 and
-// BenchmarkParallel_StuckAtChunked4 compare the work-stealing
-// clone-based campaign runner against the scheme it replaced — contiguous
-// per-worker chunks with full BDD re-synthesis in every worker — on the
-// same c1355s fault subset at 4 workers. Both produce identical studies;
-// only the scheduling and engine-construction costs differ.
-//
-// The gap is a function of the host: selective trace makes the contiguous
-// quarters of this fault set unequal (gate evaluations per quarter run
-// 13584/11936/9156/5851, a 2.3× first-to-last spread, max/mean 1.34), so
-// with >=4 real cores the chunked scheme idles three workers behind the
-// first quarter while the work-stealer drains the set evenly and skips
-// three of the four good-function synthesis passes. On a single-CPU host
-// there is no parallelism to win back: both schemes serialize to the same
-// total work and measure equal within noise.
-
-func parallelBenchFaults(b *testing.B) []faults.StuckAt {
-	b.Helper()
-	c := circuits.MustGet("c1355s").Decompose2()
-	fs := faults.CheckpointStuckAts(c)
-	if len(fs) > 120 {
-		fs = fs[:120]
-	}
-	return fs
-}
-
-func BenchmarkParallel_StuckAtWorkStealing4(b *testing.B) {
-	c := circuits.MustGet("c1355s")
-	fs := parallelBenchFaults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := analysis.RunStuckAtCampaign(c, nil, fs, analysis.CampaignConfig{Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Records) != len(fs) {
-			b.Fatal("short study")
-		}
-	}
-}
-
-// BenchmarkParallel_StuckAtChunked4 reimplements the pre-rework scheduler
-// inline: the fault set is split into contiguous quarters and each worker
-// pays a full diffprop.New before analyzing its quarter.
-func BenchmarkParallel_StuckAtChunked4(b *testing.B) {
-	c := circuits.MustGet("c1355s")
-	fs := parallelBenchFaults(b)
-	const workers = 4
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		records := make([]analysis.StuckAtRecord, len(fs))
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		chunk := (len(fs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(fs) {
-				hi = len(fs)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				e, err := diffprop.New(c, nil)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				s := analysis.RunStuckAt(e, fs[lo:hi])
-				copy(records[lo:], s.Records)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

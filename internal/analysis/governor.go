@@ -218,11 +218,16 @@ func (g *governor) counters() (parkEvents, maxParked int) {
 
 // ParseMemLimit parses a -memlimit flag value using the GOMEMLIMIT
 // syntax: a decimal byte count with an optional B / KiB / MiB / GiB / TiB
-// suffix (e.g. "512MiB"). The empty string and "off" mean no limit.
+// suffix (e.g. "512MiB"). The empty string returns 0 (adopt GOMEMLIMIT)
+// and "off" returns -1 (governor disabled), as CampaignConfig.MemLimit
+// reads them.
 func ParseMemLimit(s string) (int64, error) {
 	s = strings.TrimSpace(s)
-	if s == "" || strings.EqualFold(s, "off") {
+	if s == "" {
 		return 0, nil
+	}
+	if strings.EqualFold(s, "off") {
+		return -1, nil
 	}
 	mult := int64(1)
 	for _, u := range []struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func TestParseMemLimit(t *testing.T) {
 		err  bool
 	}{
 		{"", 0, false},
-		{"off", 0, false},
-		{"OFF", 0, false},
+		{"off", -1, false},
+		{"OFF", -1, false},
 		{"12345", 12345, false},
 		{"64B", 64, false},
 		{"4KiB", 4 << 10, false},
@@ -57,6 +58,20 @@ func TestEffectiveMemLimit(t *testing.T) {
 	// a valid ceiling, never MaxInt64.
 	if got := effectiveMemLimit(0); got == math.MaxInt64 {
 		t.Fatal("MaxInt64 sentinel leaked through")
+	}
+	// Under a process memory limit, zero adopts it while -memlimit off
+	// still disables the governor.
+	const processLimit = 1 << 40
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(processLimit))
+	off, err := ParseMemLimit("off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := effectiveMemLimit(off); got != 0 {
+		t.Fatalf("-memlimit off under a process limit = %d, want 0 (disabled)", got)
+	}
+	if got := effectiveMemLimit(0); got != processLimit {
+		t.Fatalf("zero limit under a process limit = %d, want %d", got, processLimit)
 	}
 }
 

@@ -56,7 +56,6 @@ func newCampaignInstr(cfg CampaignConfig, name string, total int, faultName func
 		flight:    cfg.Obs.Flight,
 		faultName: faultName,
 	}
-	in.camp.SetOrder(cfg.Order.String())
 	in.flight.Record(obs.FlightCampaignStart, obs.FlightLabelNone, -1, -1, int64(total), 0)
 	return in
 }
@@ -340,7 +339,6 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 		"retried", stats.Retried, "rescued", stats.Rescued,
 		"resumed", stats.Resumed, "skipped", snap.Skipped, "canceled", stats.Canceled,
 		"shared_units", stats.SharedUnits,
-		"order", stats.Order.String(),
 		"gates_visited", stats.GatesVisited, "gates_skipped", stats.GatesSkipped,
 		"elapsed", stats.Elapsed, "gate_evals", stats.GateEvaluations,
 		"rebuilds", stats.Rebuilds, "nodes_reclaimed", stats.NodesReclaimed,

@@ -180,3 +180,36 @@ func TestLadderRescueBridging(t *testing.T) {
 		t.Fatal("rescued bridging study differs from the unbudgeted reference")
 	}
 }
+
+// TestOrderPoliciesUnderBudgetLadder pins bit-identity when the recovery
+// ladder is live: a one-op budget blows almost every fault on first
+// attempt and again on the 2x retry, degrading it to the deterministic
+// simulation estimate. The resulting mix of exact and approximate records
+// must not depend on the worker count, and so on the order in which the
+// workers happen to reach the faults.
+func TestOrderPoliciesUnderBudgetLadder(t *testing.T) {
+	c := circuits.MustGet("c95s")
+	fs := faults.CheckpointStuckAts(c.Decompose2())
+	var want StuckAtStudy
+	for _, workers := range []int{1, 3} {
+		cfg := CampaignConfig{
+			Workers:  workers,
+			FaultOps: 1,
+			Recovery: diffprop.Recovery{RetryMultiplier: 2},
+		}
+		study, err := RunStuckAtCampaign(c, nil, fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if study.Stats.Degraded == 0 {
+			t.Fatalf("workers=%d: no fault degraded under a one-op budget", workers)
+		}
+		if workers == 1 {
+			want = study
+			continue
+		}
+		if !reflect.DeepEqual(stripStatsSA(study), stripStatsSA(want)) {
+			t.Fatalf("workers=%d: degraded study differs from the serial baseline", workers)
+		}
+	}
+}

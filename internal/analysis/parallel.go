@@ -115,11 +115,6 @@ type CampaignConfig struct {
 	// (and re-derived as the campaign progresses) instead of hand-tuned
 	// FaultOps/Recovery values. The zero value disables calibration.
 	Calibrate Calibration
-	// Order selects the fault dispatch order (see OrderPolicy). The zero
-	// value, OrderIndex, keeps the historical raw-index dispatch; OrderCone
-	// and OrderLevel reorder the dispatch sequence for cone locality while
-	// records stay index-aligned and bit-identical to serial runs.
-	Order OrderPolicy
 	// Name labels the campaign in heartbeats and logs. Empty selects a
 	// default derived from the fault model and circuit name.
 	Name string
@@ -148,8 +143,6 @@ type CampaignStats struct {
 	Workers int
 	// Faults is the number of faults analyzed.
 	Faults int
-	// Order is the dispatch policy the faults were scheduled under.
-	Order OrderPolicy
 	// GateEvaluations totals the gates whose difference function was
 	// computed across all faults; selective trace skipped the rest.
 	GateEvaluations int64
@@ -216,9 +209,6 @@ func (s CampaignStats) String() string {
 		"workers=%d faults=%d gate-evals=%d rebuilds=%d peak-nodes=%d cache-hit=%.1f%% elapsed=%s",
 		s.Workers, s.Faults, s.GateEvaluations, s.Rebuilds, s.PeakNodes,
 		100*s.Cache.HitRate(), s.Elapsed.Round(time.Millisecond))
-	if s.Order != OrderIndex {
-		out += fmt.Sprintf(" order=%s", s.Order)
-	}
 	if total := s.GatesVisited + s.GatesSkipped; total > 0 && s.GatesSkipped > 0 {
 		out += fmt.Sprintf(" cone-skip=%.1f%%", 100*float64(s.GatesSkipped)/float64(total))
 	}
@@ -333,21 +323,18 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // none) marks indices restored from a checkpoint, which are counted as
 // done without being re-analyzed.
 //
-// units (nil = every fault alone) groups the positions whose faults one
-// shared propagation can answer; a worker takes a unit whole, hands it to
+// units (nil = every fault alone) groups the faults one shared
+// propagation can answer; a worker takes a unit whole, hands it to
 // units.run, and analyzes its faults one by one when the shared walk
 // aborts. Per-fault latency and calibration samples of a shared unit are
 // its wall time and ops divided by its fault count.
 //
-// Workers claim guided-size blocks of contiguous dispatch positions
-// rather than single faults: neighboring faults share fan-out cones, so
+// Workers claim guided-size blocks of contiguous fault indices rather
+// than single faults: neighboring faults share fan-out cones, so
 // analyzing them on the same engine keeps its operation caches warm
 // (single-index dispatch costs ~20% extra apply work on c1355s). Block
 // size shrinks with the remaining work, so the tail still balances across
-// workers. sched (nil = index order) permutes dispatch positions into
-// fault indices and aligns claims to its cone clusters; records still
-// land at their original indices, so the study layout is
-// schedule-independent.
+// workers.
 //
 // Workers observe cancellation of cfg's context between faults — including
 // inside a claimed block — and drain out promptly, leaving the remaining
@@ -360,7 +347,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // worker between faults: one atomic generation load on the hot path, a
 // re-arm of the worker's own engine when the calibrator published new
 // bounds — never touching an engine whose fault is in flight.
-func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, sched *schedule, units *siteUnits, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
+func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, units *siteUnits, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
 	start := time.Now()
 	ctx := cfg.ctx()
 	instr.setup(engines)
@@ -453,19 +440,16 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 				if hi > total {
 					hi = total
 				}
-				// Cluster-aligned claiming: trim the block to the cone
-				// cluster boundary before racing for it, so a cluster is
-				// analyzed by one engine unless it outgrows the block. A
-				// claim never splits a unit.
-				hi = units.align(sched.trim(lo, hi))
+				// A claim never splits a unit.
+				hi = units.align(hi)
 				if !next.CompareAndSwap(int64(lo), int64(hi)) {
 					continue
 				}
 				instr.workerClaim(w, lo, hi-lo)
 				for j := lo; j < hi; j = units.unitEnd(j) {
 					idx = idx[:0]
-					for p := j; p < units.unitEnd(j); p++ {
-						if i := sched.index(p); skip == nil || !skip[i] {
+					for i := j; i < units.unitEnd(j); i++ {
+						if skip == nil || !skip[i] {
 							idx = append(idx, i)
 						}
 					}
@@ -530,7 +514,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 	gov.stop()
 	stats := CampaignStats{
 		Workers:  len(engines),
-		Order:    cfg.Order,
 		Faults:   analyzed,
 		Elapsed:  time.Since(start),
 		Canceled: ctx.Err() != nil,
@@ -627,9 +610,6 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
 	levels := work.Levels()
-	sched := newSchedule(cfg.Order, len(fs), func(i int) int {
-		return stuckAtSite(fs[i])
-	}, work, engines[0].FeedbackChecker())
 	records := make([]StuckAtRecord, len(fs))
 	skip, err := resumeDecode(len(fs), cfg.Resume, func(i int, raw json.RawMessage) error {
 		return json.Unmarshal(raw, &records[i])
@@ -648,7 +628,7 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	cal := newCalibrator(cfg, instr)
 	draws := newChaosDraws(inj, len(fs))
 	analyzed := make([]bool, len(fs))
-	units := newSiteUnits(len(fs), sched, func(i int) int {
+	units := newSiteUnits(len(fs), func(i int) int {
 		// A malformed site stays alone, to earn its per-fault error record.
 		if f := fs[i]; !f.IsBranch() && f.Net >= 0 && f.Net < work.NumNets() && work.IsInput(f.Net) {
 			return f.Net
@@ -676,7 +656,7 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 		}
 		return true, nil
 	})
-	stats, runErr := runCampaign(engines, len(fs), cfg, skip, sched, units, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+	stats, runErr := runCampaign(engines, len(fs), cfg, skip, units, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
 		rec, outcome := analyzeStuckAt(e, fs[i], toPO, levels, fb, draws.hook(e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true
@@ -707,11 +687,6 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	}
 	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
-	// A bridge seeds differences at both wires; the lower one (U, earlier
-	// in topological order) anchors its cluster.
-	sched := newSchedule(cfg.Order, len(bs), func(i int) int {
-		return bs[i].U
-	}, work, engines[0].FeedbackChecker())
 	records := make([]BridgingRecord, len(bs))
 	skip, err := resumeDecode(len(bs), cfg.Resume, func(i int, raw json.RawMessage) error {
 		return json.Unmarshal(raw, &records[i])
@@ -730,7 +705,7 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	cal := newCalibrator(cfg, instr)
 	draws := newChaosDraws(inj, len(bs))
 	analyzed := make([]bool, len(bs))
-	stats, runErr := runCampaign(engines, len(bs), cfg, skip, sched, nil, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+	stats, runErr := runCampaign(engines, len(bs), cfg, skip, nil, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
 		rec, outcome := analyzeBridging(e, bs[i], toPO, fb, draws.hook(e, i), instr.ladderHook(w, i))
 		records[i] = rec
 		analyzed[i] = true

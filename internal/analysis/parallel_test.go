@@ -76,6 +76,55 @@ func TestParallelBridgingMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStuckAtOrderPoliciesBitIdentical pins the dispatch guarantee: raw
+// index order is the only dispatch order, and however the workers
+// interleave, records are bit-identical to the serial run while the
+// cone-restricted walk skips gates.
+func TestStuckAtOrderPoliciesBitIdentical(t *testing.T) {
+	c := circuits.MustGet("c95s")
+	e, err := diffprop.New(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faults.CheckpointStuckAts(e.Circuit)
+	serial := RunStuckAt(e, fs)
+	for _, workers := range []int{1, 4} {
+		par, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Stats.GatesSkipped == 0 {
+			t.Fatalf("workers=%d: worklist skipped no gates", workers)
+		}
+		if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
+			t.Fatalf("workers=%d: study differs from serial index order", workers)
+		}
+	}
+}
+
+// TestBridgingOrderPoliciesBitIdentical extends the dispatch guarantee to
+// the bridging campaign under both bridge kinds.
+func TestBridgingOrderPoliciesBitIdentical(t *testing.T) {
+	c := circuits.MustGet("c95s")
+	e, err := diffprop.New(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []faults.BridgeKind{faults.WiredAND, faults.WiredOR} {
+		set, pop, sampled := BridgingSet(e.Circuit, kind, 150, 0.3, 7)
+		serial := RunBridging(e, set, kind, pop, sampled)
+		for _, workers := range []int{1, 4} {
+			par, err := RunBridgingCampaign(c, nil, set, kind, pop, sampled, CampaignConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stripStatsBF(par), stripStatsBF(serial)) {
+				t.Fatalf("kind=%v workers=%d: bridging study differs from serial", kind, workers)
+			}
+		}
+	}
+}
+
 // TestParallelRace4Workers drives the work-stealing scheduler with more
 // workers than CPUs would commonly grant, for both fault models, so `go
 // test -race ./internal/analysis/...` exercises the shared engine views, the

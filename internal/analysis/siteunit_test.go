@@ -12,10 +12,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// siteUnitFixture returns a circuit, its collapsed checkpoint faults and
-// the per-fault serial reference records, each built by stuckAtRecord on
-// one engine with no shared walk involved.
-func siteUnitFixture(t *testing.T, name string) (*netlist.Circuit, []faults.StuckAt, []StuckAtRecord) {
+// siteUnitFixture returns a circuit, its collapsed checkpoint faults (the
+// first limit of them, or all when limit is 0) and the per-fault serial
+// reference records, each built by stuckAtRecord on one engine with no
+// shared walk involved.
+func siteUnitFixture(t *testing.T, name string, limit int) (*netlist.Circuit, []faults.StuckAt, []StuckAtRecord) {
 	t.Helper()
 	c := circuits.MustGet(name)
 	e, err := diffprop.New(c, nil)
@@ -24,6 +25,9 @@ func siteUnitFixture(t *testing.T, name string) (*netlist.Circuit, []faults.Stuc
 	}
 	w := e.Circuit
 	fs := faults.CheckpointStuckAts(w)
+	if limit > 0 && len(fs) > limit {
+		fs = fs[:limit]
+	}
 	toPO, levels := w.MaxLevelsToPO(), w.Levels()
 	ref := make([]StuckAtRecord, len(fs))
 	for i, f := range fs {
@@ -33,7 +37,7 @@ func siteUnitFixture(t *testing.T, name string) (*netlist.Circuit, []faults.Stuc
 }
 
 // piPairs counts the adjacent two-polarity primary-input pairs of a
-// fault list: the units an index-order campaign answers by shared walks.
+// fault list: the units a campaign answers by shared walks.
 func piPairs(w *netlist.Circuit, fs []faults.StuckAt) (pairs []int) {
 	for i := 0; i+1 < len(fs); i++ {
 		a, b := fs[i], fs[i+1]
@@ -45,13 +49,23 @@ func piPairs(w *netlist.Circuit, fs []faults.StuckAt) (pairs []int) {
 	return pairs
 }
 
-// TestSiteUnitCampaignMatchesPerFault runs the campaign over every worker
-// count and dispatch order: each run must answer primary-input pairs by
-// shared walks and still return records identical to the per-fault serial
-// reference, with gate counters that reconcile fault by fault.
+// TestSiteUnitCampaignMatchesPerFault runs the campaign over several
+// worker counts: each run must answer primary-input pairs by shared walks
+// and still return records identical to the per-fault serial reference,
+// with a cone walk that skips gates and gate counters that reconcile
+// fault by fault. The C1908s case, the first 120 faults at 4 workers,
+// puts the shared table under contention on a large circuit.
 func TestSiteUnitCampaignMatchesPerFault(t *testing.T) {
-	for _, name := range []string{"c95s", "c432s"} {
-		c, fs, ref := siteUnitFixture(t, name)
+	for _, tc := range []struct {
+		name    string
+		limit   int
+		workers []int
+	}{
+		{"c95s", 0, []int{1, 2, 4}},
+		{"c432s", 0, []int{1, 2, 4}},
+		{"c1908s", 120, []int{4}},
+	} {
+		c, fs, ref := siteUnitFixture(t, tc.name, tc.limit)
 		w := c.Decompose2()
 		pairs := len(piPairs(w, fs))
 		var evals int64
@@ -59,26 +73,27 @@ func TestSiteUnitCampaignMatchesPerFault(t *testing.T) {
 			evals += int64(r.GatesEvaluated)
 		}
 		if pairs == 0 {
-			t.Fatalf("%s: no primary-input pair", name)
+			t.Fatalf("%s: no primary-input pair", tc.name)
 		}
-		for _, order := range []OrderPolicy{OrderIndex, OrderCone, OrderLevel} {
-			for _, workers := range []int{1, 2, 4} {
-				study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: workers, Order: order})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(study.Records, ref) {
-					t.Fatalf("%s order=%v workers=%d: records differ from the per-fault reference", name, order, workers)
-				}
-				s := study.Stats
-				if s.SharedUnits != pairs {
-					t.Fatalf("%s order=%v workers=%d: %d shared units, want the %d primary-input pairs",
-						name, order, workers, s.SharedUnits, pairs)
-				}
-				if s.GateEvaluations != evals || s.GatesVisited+s.GatesSkipped != int64(len(fs)*w.NumGates()) {
-					t.Fatalf("%s order=%v workers=%d: gate counters %+v do not reconcile with %d faults",
-						name, order, workers, s, len(fs))
-				}
+		for _, workers := range tc.workers {
+			study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(study.Records, ref) {
+				t.Fatalf("%s workers=%d: records differ from the per-fault reference", tc.name, workers)
+			}
+			s := study.Stats
+			if s.SharedUnits != pairs {
+				t.Fatalf("%s workers=%d: %d shared units, want the %d primary-input pairs",
+					tc.name, workers, s.SharedUnits, pairs)
+			}
+			if s.GatesSkipped == 0 {
+				t.Fatalf("%s workers=%d: the cone walk skipped no gates", tc.name, workers)
+			}
+			if s.GateEvaluations != evals || s.GatesVisited+s.GatesSkipped != int64(len(fs)*w.NumGates()) {
+				t.Fatalf("%s workers=%d: gate counters %+v do not reconcile with %d faults",
+					tc.name, workers, s, len(fs))
 			}
 		}
 	}
@@ -88,7 +103,7 @@ func TestSiteUnitCampaignMatchesPerFault(t *testing.T) {
 // polarity of a primary-input pair: the other polarity runs alone, and
 // the study still matches the per-fault reference.
 func TestSiteUnitResumeSplitsPair(t *testing.T) {
-	c, fs, ref := siteUnitFixture(t, "c95s")
+	c, fs, ref := siteUnitFixture(t, "c95s", 0)
 	pairs := piPairs(c.Decompose2(), fs)
 	first := pairs[len(pairs)/2]
 	raw, err := json.Marshal(ref[first])
@@ -118,7 +133,7 @@ func TestSiteUnitResumeSplitsPair(t *testing.T) {
 // fault, so every injection fires once and the ladder's retry rescues
 // it, leaving the records identical to the clean run's.
 func TestSiteUnitChaosAbortsRescued(t *testing.T) {
-	c, fs, ref := siteUnitFixture(t, "c95s")
+	c, fs, ref := siteUnitFixture(t, "c95s", 0)
 	for _, workers := range []int{1, 2} {
 		study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
 			Workers:  workers,
@@ -150,7 +165,7 @@ func TestSiteUnitChaosAbortsRescued(t *testing.T) {
 // per-fault ladder, and the relaxed retry rescues them all to the exact
 // per-fault records.
 func TestSiteUnitBudgetFallback(t *testing.T) {
-	c, fs, ref := siteUnitFixture(t, "c95s")
+	c, fs, ref := siteUnitFixture(t, "c95s", 0)
 	study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
 		Workers:  2,
 		FaultOps: 1,

@@ -1,11 +1,11 @@
 // Package campaignflags declares the campaign flags cmd/diffprop and
-// cmd/figures share: parallelism and dispatch order, the per-fault
-// budgets and recovery ladder, the heap governor, calibration,
-// observability and process supervision. It parses them into an
-// analysis.CampaignConfig, builds the observer they select, and renders a
-// campaign configuration back into the diffprop command line that parses
-// to it — the one renderer behind every diffprop subprocess, so a
-// supervised worker runs exactly the campaign its parent parsed.
+// cmd/figures share: parallelism, the per-fault budgets and recovery
+// ladder, the heap governor, calibration, observability and process
+// supervision. It parses them into an analysis.CampaignConfig, builds
+// the observer they select, and renders a campaign configuration back
+// into the diffprop command line that parses to it — the one renderer
+// behind every diffprop subprocess, so a supervised worker runs exactly
+// the campaign its parent parsed.
 package campaignflags
 
 import (
@@ -39,7 +39,6 @@ type Flags struct {
 	LogJSON  bool
 
 	workers   int
-	order     string
 	budget    int64
 	timeout   time.Duration
 	nodeLimit int
@@ -59,7 +58,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet, workers int) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.workers, "workers", workers, "parallel analysis workers per campaign (0 = one per CPU)")
-	fs.StringVar(&f.order, "order", "index", "fault dispatch order: index (raw), cone (cluster by dominating output cone), level (by topological depth); results are bit-identical under any policy")
 	fs.BoolVar(&f.Verbose, "v", false, "stream progress and campaign runtime stats to stderr")
 	fs.Int64Var(&f.budget, "budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
 	fs.DurationVar(&f.timeout, "timeout", 0, "per-fault wall-clock budget (0 = unlimited)")
@@ -81,19 +79,14 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 }
 
 // Campaign returns the campaign settings the flags select: Workers,
-// Order, FaultOps, FaultTimeout, Recovery, MemLimit and Calibrate.
+// FaultOps, FaultTimeout, Recovery, MemLimit and Calibrate.
 func (f *Flags) Campaign() (analysis.CampaignConfig, error) {
 	mem, err := analysis.ParseMemLimit(f.memLimit)
 	if err != nil {
 		return analysis.CampaignConfig{}, fmt.Errorf("-memlimit: %w", err)
 	}
-	order, err := analysis.ParseOrderPolicy(f.order)
-	if err != nil {
-		return analysis.CampaignConfig{}, fmt.Errorf("-order: %w", err)
-	}
 	cfg := analysis.CampaignConfig{
 		Workers:      f.workers,
-		Order:        order,
 		FaultOps:     f.budget,
 		FaultTimeout: f.timeout,
 		Recovery: diffprop.Recovery{
@@ -116,7 +109,7 @@ func (f *Flags) Campaign() (analysis.CampaignConfig, error) {
 // diffprop flags that Campaign parses back to the same values. -workers
 // is always rendered because the commands' defaults differ.
 func Args(cfg analysis.CampaignConfig) []string {
-	args := []string{"-workers", strconv.Itoa(cfg.Workers), "-order", cfg.Order.String()}
+	args := []string{"-workers", strconv.Itoa(cfg.Workers)}
 	if cfg.FaultOps != 0 {
 		args = append(args, "-budget", strconv.FormatInt(cfg.FaultOps, 10))
 	}
@@ -132,8 +125,11 @@ func Args(cfg analysis.CampaignConfig) []string {
 	if cfg.Recovery.RetryMultiplier != 0 {
 		args = append(args, "-retrybudget", strconv.FormatFloat(cfg.Recovery.RetryMultiplier, 'g', -1, 64))
 	}
-	if cfg.MemLimit > 0 {
+	switch {
+	case cfg.MemLimit > 0:
 		args = append(args, "-memlimit", strconv.FormatInt(cfg.MemLimit, 10)+"B")
+	case cfg.MemLimit < 0:
+		args = append(args, "-memlimit", "off")
 	}
 	if cfg.Calibrate.Enabled {
 		args = append(args, "-calibrate")

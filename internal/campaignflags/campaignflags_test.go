@@ -34,8 +34,7 @@ func TestArgsRoundTrip(t *testing.T) {
 	for _, args := range []string{
 		"",
 		"-workers 4",
-		"-workers 0 -order level",
-		"-order cone -calibrate",
+		"-workers 0 -calibrate",
 		"-gcauto",
 		"-gcauto -nodelimit 5000",
 		"-nodelimit 70000 -retrybudget 16",
@@ -69,14 +68,12 @@ func TestCampaignGCAutoDefaultsNodeLimit(t *testing.T) {
 }
 
 func TestCampaignRejectsBadValues(t *testing.T) {
-	for _, args := range [][]string{{"-order", "random"}, {"-memlimit", "lots"}} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := Register(fs, 1)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Campaign(); err == nil || !strings.Contains(err.Error(), args[0]) {
-			t.Errorf("%q: error %v, want one naming %s", args, err, args[0])
-		}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, 1)
+	if err := fs.Parse([]string{"-memlimit", "lots"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Campaign(); err == nil || !strings.Contains(err.Error(), "-memlimit") {
+		t.Errorf("-memlimit lots: error %v, want one naming -memlimit", err)
 	}
 }

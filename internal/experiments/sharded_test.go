@@ -36,7 +36,7 @@ func TestShardedStudiesMatchInProcess(t *testing.T) {
 	// Non-default knobs travel the figures-to-diffprop command line; a
 	// flag the subprocess rejects fails the supervised campaign.
 	base.Campaign = analysis.CampaignConfig{
-		Order:     analysis.OrderCone,
+		MemLimit:  -1,
 		Calibrate: analysis.Calibration{Enabled: true},
 	}
 

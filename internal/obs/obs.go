@@ -306,7 +306,6 @@ type Campaign struct {
 	done, exact, degraded, errored, resumed, skipped atomic.Int64
 	rescued                                          atomic.Int64
 	gatesVisited, gatesSkipped                       atomic.Int64
-	order                                            atomic.Pointer[string]
 	canceled, finished                               atomic.Bool
 	elapsedNS                                        atomic.Int64
 
@@ -355,15 +354,6 @@ func (c *Campaign) FaultDone(o Outcome) {
 	case OutcomeError:
 		c.errored.Add(1)
 	}
-}
-
-// SetOrder labels the heartbeat with the campaign's fault dispatch policy
-// (index, cone, level). Empty names are ignored.
-func (c *Campaign) SetOrder(name string) {
-	if c == nil || name == "" {
-		return
-	}
-	c.order.Store(&name)
 }
 
 // AddGateWalk accumulates one fault's propagation-walk footprint: gates
@@ -417,9 +407,6 @@ type CampaignSnapshot struct {
 	Skipped  int64 `json:"skipped"`
 	Canceled bool  `json:"canceled"`
 	Finished bool  `json:"finished"`
-	// Order is the fault dispatch policy (index, cone, level); empty when
-	// the runner predates scheduling or never labeled the heartbeat.
-	Order string `json:"order,omitempty"`
 	// GatesVisited / GatesSkipped total the propagation loops' walk
 	// footprint: their ratio is the structural saving of cone-restricted
 	// propagation over the full-gate scan.
@@ -454,9 +441,6 @@ func (c *Campaign) Snapshot() CampaignSnapshot {
 		Skipped:  c.skipped.Load(),
 		Canceled: c.canceled.Load(),
 		Finished: c.finished.Load(),
-	}
-	if p := c.order.Load(); p != nil {
-		s.Order = *p
 	}
 	s.GatesVisited = c.gatesVisited.Load()
 	s.GatesSkipped = c.gatesSkipped.Load()

@@ -444,47 +444,23 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 
 	// ---- Scheduling ----
 	b.WriteString("\n## Scheduling\n\n")
-	type schedRow struct {
-		name    string
-		order   string
-		visited int64
-		skipped int64
-	}
-	var schedRows []schedRow
+	rows := 0
 	for _, d := range dumps {
 		for _, c := range d.Campaigns {
-			if c.Order == "" && c.GatesVisited == 0 && c.GatesSkipped == 0 {
+			if c.GatesVisited == 0 && c.GatesSkipped == 0 {
 				continue
 			}
-			schedRows = append(schedRows, schedRow{c.Name, c.Order, c.GatesVisited, c.GatesSkipped})
+			if rows == 0 {
+				b.WriteString("| campaign | gates visited | gates skipped | skip ratio |\n")
+				b.WriteString("|----------|--------------:|--------------:|-----------:|\n")
+			}
+			rows++
+			fmt.Fprintf(&b, "| %s | %d | %d | %.1f%% |\n", c.Name, c.GatesVisited, c.GatesSkipped,
+				100*float64(c.GatesSkipped)/float64(c.GatesVisited+c.GatesSkipped))
 		}
 	}
-	if len(schedRows) == 0 {
-		b.WriteString("No scheduling telemetry recorded (runner predates the -order policies).\n")
-	} else {
-		b.WriteString("| campaign | order | gates visited | gates skipped | skip ratio |\n")
-		b.WriteString("|----------|-------|--------------:|--------------:|-----------:|\n")
-		for _, r := range schedRows {
-			order := r.order
-			if order == "" {
-				order = "index"
-			}
-			ratio := 0.0
-			if tot := r.visited + r.skipped; tot > 0 {
-				ratio = float64(r.skipped) / float64(tot)
-			}
-			fmt.Fprintf(&b, "| %s | %s | %d | %d | %.1f%% |\n",
-				r.name, order, r.visited, r.skipped, 100*ratio)
-			// A cone- or level-ordered campaign that skips almost nothing is
-			// paying the scheduling overhead without the locality payoff —
-			// typically a tiny circuit or a fault set whose merged cones
-			// cover the whole netlist.
-			if order != "index" && r.visited > 0 && float64(r.skipped) < 0.05*float64(r.visited+r.skipped) {
-				rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
-					"cone scheduling ineffective: campaign %q ran order=%s but skipped only %.1f%% of gate visits — index order is likely faster here",
-					r.name, order, 100*ratio))
-			}
-		}
+	if rows == 0 {
+		b.WriteString("No gate-walk telemetry recorded.\n")
 	}
 	if h := lastConeGates(dumps); h != nil && h.Count > 0 {
 		fmt.Fprintf(&b, "\nMerged fan-out-cone size per fault over %d samples: p50 %.0f, p95 %.0f, p99 %.0f gates.\n",
