@@ -9,8 +9,8 @@
 //	diffprop -circuit c95s -model and         # wired-AND bridging faults
 //	diffprop -bench my.bench -model or -max 50
 //	diffprop -circuit c17 -summary            # aggregates only
-//	diffprop -circuit c1355s -budget 2000000 -timeout 5s   # degrade hard faults
-//	diffprop -circuit c1908s -budget 200000 -gcauto -retrybudget 16   # rescue blown faults
+//	diffprop -circuit c1355s -budget 2000000               # degrade hard faults
+//	diffprop -circuit c1908s -budget 200000 -retrybudget 16  # rescue blown faults
 //	diffprop -circuit c1908s -nodelimit 500000 -memlimit 2GiB        # bound memory, park workers
 //	diffprop -circuit c1355s -checkpoint run.jsonl         # persist records
 //	diffprop -circuit c1355s -checkpoint run.jsonl -resume # continue after a crash

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/diffprop"
 )
@@ -110,7 +109,6 @@ func (c Calibration) withDefaults() Calibration {
 // a single atomic load on the hot path.
 type calibrator struct {
 	cfg   Calibration
-	wall  time.Duration     // base per-fault wall bound, carried unchanged
 	base  diffprop.Recovery // campaign recovery config the armed ladder extends
 	instr *campaignInstr
 
@@ -134,7 +132,6 @@ func newCalibrator(cfg CampaignConfig, instr *campaignInstr) *calibrator {
 	}
 	return &calibrator{
 		cfg:    cfg.Calibrate.withDefaults(),
-		wall:   cfg.FaultTimeout,
 		base:   cfg.Recovery,
 		budget: cfg.FaultOps, // base budget is the floor the ratchet starts from
 		instr:  instr,
@@ -222,7 +219,7 @@ func (cal *calibrator) apply(e *diffprop.Engine, seen uint64) uint64 {
 	cal.mu.Lock()
 	budget, retry := cal.budget, cal.retry
 	cal.mu.Unlock()
-	e.SetFaultBudget(diffprop.FaultBudget{Ops: budget, Wall: cal.wall})
+	e.SetFaultBudget(budget)
 	rec := cal.base
 	if rec.RetryMultiplier <= 1 {
 		// The ladder's retry rung is what turns a calibrated abort into a

@@ -61,7 +61,7 @@ func TestCalibratorMonotoneRatchet(t *testing.T) {
 	if gen != cal.gen.Load() {
 		t.Fatalf("apply returned generation %d, want %d", gen, cal.gen.Load())
 	}
-	if got := e.FaultBudget().Ops; got != budget2 {
+	if got := e.FaultBudget(); got != budget2 {
 		t.Fatalf("armed budget = %d, want %d", got, budget2)
 	}
 	if got := e.Recovery().RetryMultiplier; got != calRetryMin {

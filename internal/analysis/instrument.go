@@ -86,11 +86,7 @@ func (in *campaignInstr) setup(engines []*diffprop.Engine) {
 		if in.flight != nil {
 			worker := w
 			e.Manager().SetGCHook(func(res bdd.GCResult) {
-				kind := obs.FlightGC
-				if res.Sifted {
-					kind = obs.FlightSift
-				}
-				in.flight.Record(kind, obs.FlightLabelNone, worker, -1,
+				in.flight.Record(obs.FlightGC, obs.FlightLabelNone, worker, -1,
 					int64(res.Reclaimed()), int64(res.After))
 			})
 		}
@@ -329,7 +325,6 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 	in.cm.CacheMisses.Add(stats.Cache.ApplyMisses + stats.Cache.IteMisses + stats.Cache.NotMisses)
 	in.cm.RecoveryRetries.Add(int64(stats.Retried))
 	in.cm.RecoveryNodesReclaimed.Add(stats.NodesReclaimed)
-	in.cm.RecoverySiftRuns.Add(int64(stats.Sifts))
 	in.cm.ChaosInjected.Add(stats.ChaosInjected)
 	snap := in.camp.Snapshot()
 	in.cm.FaultsSkipped.Add(snap.Skipped)
@@ -342,7 +337,7 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 		"gates_visited", stats.GatesVisited, "gates_skipped", stats.GatesSkipped,
 		"elapsed", stats.Elapsed, "gate_evals", stats.GateEvaluations,
 		"rebuilds", stats.Rebuilds, "nodes_reclaimed", stats.NodesReclaimed,
-		"sifts", stats.Sifts, "peak_nodes", stats.PeakNodes,
+		"peak_nodes", stats.PeakNodes,
 		"mem_park_events", stats.MemParkEvents,
 		"chaos_injected", stats.ChaosInjected,
 		"calibration_updates", stats.CalibrationUpdates,

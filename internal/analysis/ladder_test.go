@@ -13,7 +13,6 @@ import (
 // that nothing ever fires on the small circuits.
 var ladderOn = diffprop.Recovery{
 	NodeLimit:       1 << 22,
-	SiftPasses:      diffprop.DefaultSiftPasses,
 	RetryMultiplier: 8,
 }
 
@@ -34,7 +33,7 @@ func TestLadderInvarianceWhenNoBudgetFires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if on.Stats.Retried != 0 || on.Stats.Rescued != 0 || on.Stats.Sifts != 0 {
+		if on.Stats.Retried != 0 || on.Stats.Rescued != 0 {
 			t.Fatalf("%s: ladder fired with no budget armed: %+v", name, on.Stats)
 		}
 		if !reflect.DeepEqual(stripStatsSA(on), stripStatsSA(off)) {
@@ -102,26 +101,25 @@ func TestLadderRescuesTightBudgetC1908(t *testing.T) {
 	}
 }
 
-// TestSerialParallelEquivalentWithLadderActive drives GC, sifting and the
+// TestSerialParallelEquivalentWithLadderActive drives the GC rung and the
 // relaxed retry on every fault (a 1-op budget aborts each first attempt;
-// the huge multiplier makes every retry succeed) and requires serial and
-// parallel campaigns to produce identical, fully exact studies. Runs under
-// -race in CI, covering the satellite's "serial==parallel with GC+sift
-// active" clause.
+// the huge multiplier makes every retry succeed) under the smallest node
+// watermark, and requires serial and parallel campaigns to produce
+// identical, fully exact studies. Runs under -race in CI.
 func TestSerialParallelEquivalentWithLadderActive(t *testing.T) {
 	c := circuits.MustGet("c95s")
-	rec := diffprop.Recovery{NodeLimit: 1, SiftPasses: diffprop.DefaultSiftPasses, RetryMultiplier: 1e12}
+	rec := diffprop.Recovery{NodeLimit: 1, RetryMultiplier: 1e12}
 
 	e, err := diffprop.New(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := faults.CheckpointStuckAts(e.Circuit)
-	e.SetFaultBudget(diffprop.FaultBudget{Ops: 1})
+	e.SetFaultBudget(1)
 	e.SetRecovery(rec)
 	serial := RunStuckAt(e, fs)
-	if got := e.Stats().Sifts; got != 1 {
-		t.Fatalf("serial engine sifted %d times, want exactly 1", got)
+	if got := e.Stats().Rebuilds; got == 0 {
+		t.Fatal("serial engine never ran the GC rung")
 	}
 
 	reference, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: 1})
@@ -146,8 +144,8 @@ func TestSerialParallelEquivalentWithLadderActive(t *testing.T) {
 		if par.Stats.Degraded != 0 || par.Stats.Rescued == 0 {
 			t.Fatalf("workers=%d: rescue incomplete: %+v", workers, par.Stats)
 		}
-		if par.Stats.Sifts == 0 {
-			t.Fatalf("workers=%d: sift rung never fired", workers)
+		if par.Stats.Rebuilds == 0 {
+			t.Fatalf("workers=%d: GC rung never fired", workers)
 		}
 		if !reflect.DeepEqual(stripStatsSA(par), stripStatsSA(serial)) {
 			t.Fatalf("workers=%d: parallel ladder study differs from serial", workers)

@@ -62,16 +62,13 @@ type CampaignConfig struct {
 	// CampaignStats.Canceled is set. Nil means run to completion.
 	Context context.Context
 	// FaultOps caps the charged BDD operations of a single fault analysis
-	// and FaultTimeout its wall-clock time (zero = unlimited). A fault
-	// blowing either bound degrades to a random-vector estimate marked
-	// Approximate and counted in CampaignStats.Degraded.
-	FaultOps     int64
-	FaultTimeout time.Duration
+	// (zero = unlimited). A fault blowing it degrades to a random-vector
+	// estimate marked Approximate and counted in CampaignStats.Degraded.
+	FaultOps int64
 	// Recovery configures each engine's graceful-recovery ladder between
 	// "budget blown" and "degrade to simulation": a BDD node-count
-	// watermark, capped sift passes, and one relaxed-budget retry (see
-	// diffprop.Recovery). The zero value keeps the historical
-	// degrade-immediately behavior.
+	// watermark and one relaxed-budget retry (see diffprop.Recovery). The
+	// zero value keeps the historical degrade-immediately behavior.
 	Recovery diffprop.Recovery
 	// MemLimit is the campaign memory governor's heap ceiling in bytes.
 	// Zero adopts GOMEMLIMIT when one is set (debug.SetMemoryLimit);
@@ -120,11 +117,6 @@ type CampaignConfig struct {
 	Name string
 }
 
-// budget extracts the per-fault resource budget.
-func (cfg CampaignConfig) budget() diffprop.FaultBudget {
-	return diffprop.FaultBudget{Ops: cfg.FaultOps, Wall: cfg.FaultTimeout}
-}
-
 // ctx returns the configured context, defaulting to Background.
 func (cfg CampaignConfig) ctx() context.Context {
 	if cfg.Context != nil {
@@ -157,9 +149,6 @@ type CampaignStats struct {
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
 	NodesReclaimed int64
-	// Sifts counts recovery-ladder variable-reordering runs over all
-	// engines.
-	Sifts int
 	// PeakNodes is the largest node table any single engine reached.
 	PeakNodes int
 	// Cache aggregates BDD apply/ite/not cache hits and misses over all
@@ -224,9 +213,6 @@ func (s CampaignStats) String() string {
 	if s.Retried > 0 {
 		out += fmt.Sprintf(" retried=%d rescued=%d", s.Retried, s.Rescued)
 	}
-	if s.Sifts > 0 {
-		out += fmt.Sprintf(" sifts=%d", s.Sifts)
-	}
 	if s.Errored > 0 {
 		out += fmt.Sprintf(" errored=%d", s.Errored)
 	}
@@ -260,7 +246,6 @@ func (s *CampaignStats) EngineStats() diffprop.Stats {
 		GatesSkipped:    s.GatesSkipped,
 		Rebuilds:        s.Rebuilds,
 		NodesReclaimed:  s.NodesReclaimed,
-		Sifts:           s.Sifts,
 		PeakNodes:       s.PeakNodes,
 		Cache:           s.Cache,
 	}
@@ -276,7 +261,6 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 	s.GatesSkipped = agg.GatesSkipped
 	s.Rebuilds = agg.Rebuilds
 	s.NodesReclaimed = agg.NodesReclaimed
-	s.Sifts = agg.Sifts
 	s.PeakNodes = agg.PeakNodes
 	s.Cache = agg.Cache
 }
@@ -309,7 +293,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 		engines[w] = proto.Share()
 	}
 	for _, e := range engines {
-		e.SetFaultBudget(cfg.budget())
+		e.SetFaultBudget(cfg.FaultOps)
 		e.SetRecovery(cfg.Recovery)
 	}
 	return engines, nil

@@ -2,8 +2,8 @@
 //
 // Exact Difference Propagation is worst-case exponential; Butler & Mercer
 // themselves fell back to functional decomposition once circuits reached
-// C499 size. The campaign layer instead bounds each fault with a resource
-// budget (diffprop.FaultBudget): a fault that blows its budget is re-scored
+// C499 size. The campaign layer instead bounds each fault with an operation
+// budget (diffprop.Engine.SetFaultBudget): a fault that blows it is re-scored
 // by a bit-parallel random-vector estimate — statistically useful exactly
 // where exact analysis is infeasible, in the spirit of sampled n-detection
 // analysis — and marked Approximate. Any other panic escaping a fault
@@ -95,7 +95,7 @@ func panicMessage(r any) string {
 }
 
 // budgetAbort reports whether a recovered panic value is one of the
-// resource-bound sentinels — an ops/deadline budget blow or a node-count
+// resource-bound sentinels — an ops budget blow or a node-count
 // watermark trip. Both enter the degradation (or retry) path; anything
 // else is a real error.
 func budgetAbort(r any) bool {
@@ -104,8 +104,8 @@ func budgetAbort(r any) bool {
 }
 
 // tryStuckAtRecord runs the exact analysis, converting an escaping panic
-// into an error after restoring the engine (which runs the ladder's GC and
-// sift rungs). hook, when non-nil, runs inside the recover scope before
+// into an error after restoring the engine (which runs the ladder's GC
+// rung). hook, when non-nil, runs inside the recover scope before
 // the analysis — the chaos harness's per-fault seam (injected latency,
 // forced aborts, worker panics); nil in normal operation.
 func tryStuckAtRecord(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, hook func()) (rec StuckAtRecord, budget bool, errMsg string) {
@@ -166,7 +166,7 @@ func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb
 		blown(1, e.LastAbortOps())
 	}
 	outcome := outcomeDegraded
-	// Retry rung: the GC and sift rungs already ran inside Recover; when a
+	// Retry rung: the GC rung already ran inside Recover; when a
 	// relaxed budget is configured, re-attempt the fault once before
 	// surrendering it to the estimator. The chaos hook applies to the
 	// first attempt only — its injected abort is one-shot, so the retry
@@ -302,7 +302,7 @@ func (d *chaosDraws) any(e *diffprop.Engine, idx []int) bool {
 func tryStuckAtUnit(e *diffprop.Engine, fs []faults.StuckAt, idx []int, toPO, levels []int) (recs []StuckAtRecord, ok bool) {
 	budget := e.FaultBudget()
 	n := len(idx)
-	e.SetFaultBudget(diffprop.FaultBudget{Ops: budget.Ops * int64(n), Wall: budget.Wall * time.Duration(n)})
+	e.SetFaultBudget(budget * int64(n))
 	defer func() {
 		e.SetFaultBudget(budget)
 		if r := recover(); r != nil {

@@ -37,7 +37,7 @@ func TestSharedCampaignUnderGovernorPressure(t *testing.T) {
 			}
 			return 1
 		},
-		Recovery: diffprop.Recovery{NodeLimit: 1 << 22, SiftPasses: diffprop.DefaultSiftPasses},
+		Recovery: diffprop.Recovery{NodeLimit: 1 << 22},
 	})
 	if err != nil {
 		t.Fatal(err)

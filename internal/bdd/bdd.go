@@ -14,7 +14,7 @@
 // on one node set at once — see table.go for the concurrency protocol.
 // Quantification, composition, exact satisfying-set counting and
 // manager-to-manager transfer (used for generational garbage collection
-// and static variable reordering) ride on the same core.
+// and for reordering into a new manager) ride on the same core.
 //
 // A Manager owns a set of ordered variables and (a view of) a node table.
 // Functions are referred to by Ref values that are only meaningful within
@@ -28,7 +28,6 @@ import (
 	"log/slog"
 	"math/big"
 	"sort"
-	"time"
 )
 
 // ErrBudget is the sentinel raised — as a panic value, from arbitrarily
@@ -43,9 +42,9 @@ var ErrBudget = errors.New("bdd: per-analysis operation budget exhausted")
 // same consistent points as ErrBudget — when the manager's node table
 // crosses the armed soft watermark (SetNodeLimit). It is distinguishable
 // from ErrBudget so recovery code can tell "too much work" from "too much
-// memory": a node-limit abort is usually garbage- or order-induced and a
-// generational GC plus reordering (Manager.ReduceUnder) often rescues the
-// computation, where an ops-budget abort rarely benefits.
+// memory": a node-limit abort is usually garbage-induced and a
+// generational GC (Manager.GC) often rescues the computation, where an
+// ops-budget abort rarely benefits.
 var ErrNodeLimit = errors.New("bdd: node-count watermark exceeded")
 
 // Ref identifies a BDD function within a Manager's table: a node id in
@@ -114,13 +113,9 @@ type Manager struct {
 	stats CacheStats
 
 	// Armed resource budget (SetBudget): ops counts charged operations
-	// since arming; budgetOps > 0 caps them, and a non-zero deadline is
-	// checked every deadlineMask+1 charges (the mask shrinks as the
-	// deadline approaches, bounding the wall-clock overshoot).
-	ops          int64
-	budgetOps    int64
-	deadline     time.Time
-	deadlineMask int64
+	// since arming; budgetOps > 0 caps them.
+	ops       int64
+	budgetOps int64
 
 	// nodeLimit, when positive, is the soft node-count watermark: mk panics
 	// with ErrNodeLimit once the shared table would grow past it
@@ -137,14 +132,14 @@ type Manager struct {
 	// log receives structured manager events; nil = silent.
 	log *slog.Logger
 
-	// gcHook, when non-nil, observes each completed GC/ReduceUnder pass
+	// gcHook, when non-nil, observes each completed GC pass
 	// (SetGCHook) — the flight-recorder seam. Per-view, like the logger.
 	gcHook func(GCResult)
 
 	// satC caches satisfying-set counts keyed by regular (uncomplemented)
 	// ref, normalized to each node's own level. satEpoch tracks the table
-	// epoch the cache was filled under; an in-place adoption (GC/sift)
-	// bumps the table epoch and invalidates the cache lazily.
+	// epoch the cache was filled under; an in-place GC bumps the table
+	// epoch and invalidates the cache lazily.
 	satC     map[Ref]*big.Int
 	satEpoch uint64
 }
@@ -153,38 +148,23 @@ type Manager struct {
 // silences them (the default).
 func (m *Manager) SetLogger(log *slog.Logger) { m.log = log }
 
-// SetGCHook registers an observer for completed GC and ReduceUnder
-// passes: the hook receives each pass's final GCResult, exactly once per
-// public collection call. The hook runs on the collecting goroutine with
-// the table quiescent, so it must be cheap and must not touch the
-// manager. A nil hook disables it (the default). Per-view, like the
+// SetGCHook registers an observer for completed GC passes: the hook
+// receives each pass's GCResult, exactly once per call. The hook runs on
+// the collecting goroutine with the table quiescent, so it must be cheap
+// and must not touch the manager. A nil hook disables it (the default). Per-view, like the
 // logger: each worker engine installs its own.
 func (m *Manager) SetGCHook(hook func(GCResult)) { m.gcHook = hook }
 
-// deadlineCheckMask throttles the wall-clock check of an armed budget to
-// one time.Now() call per 1024 charged operations. Once the deadline is
-// within deadlineNear, the throttle tightens to deadlineNearMask (one
-// check per 64 charges): at full throttle a burst of cheap charges can
-// overshoot Wall by the whole inter-check gap, which matters exactly when
-// little time remains.
-const (
-	deadlineCheckMask = 0x3FF
-	deadlineNearMask  = 0x3F
-	deadlineNear      = time.Millisecond
-)
-
-// SetBudget arms a resource budget for the analyses that follow: the
+// SetBudget arms an operation budget for the analyses that follow: the
 // manager aborts with a panic(ErrBudget) once it charges more than ops
-// operations (ops <= 0 leaves the count unlimited) or passes the deadline
-// (zero time disables the clock). Arming resets the charged operation
-// counter, so callers arm once per unit of work (per fault). One
+// operations (ops <= 0 leaves the count unlimited). Arming resets the
+// charged operation counter, so callers arm once per unit of work (per
+// fault). One
 // operation is charged per ITE or DiffAnd step — a machine-independent
 // proxy for the nodes an analysis builds and visits that stays
 // meaningful when the computed cache is shared and warm.
-func (m *Manager) SetBudget(ops int64, deadline time.Time) {
+func (m *Manager) SetBudget(ops int64) {
 	m.budgetOps = ops
-	m.deadline = deadline
-	m.deadlineMask = deadlineCheckMask
 	m.ops = 0
 	// A chaos abort is armed relative to the charge meter this reset just
 	// zeroed; a stale threshold would fire against the wrong analysis.
@@ -212,7 +192,7 @@ func (m *Manager) SetChaosAbort(at int64, err error) {
 // watermark: once the node table would grow past n nodes, mk panics with
 // ErrNodeLimit. Like ErrBudget, the panic fires only between node-table
 // mutations, so callers that recover it at their analysis boundary may
-// keep using the manager; Manager.GC or ReduceUnder then reclaims the
+// keep using the manager; Manager.GC then reclaims the
 // garbage the aborted computation left behind. The watermark is per-view:
 // other views sharing the table keep their own.
 func (m *Manager) SetNodeLimit(n int) {
@@ -226,7 +206,7 @@ func (m *Manager) SetNodeLimit(n int) {
 func (m *Manager) NodeLimit() int { return m.nodeLimit }
 
 // ClearBudget disarms any armed budget.
-func (m *Manager) ClearBudget() { m.SetBudget(0, time.Time{}) }
+func (m *Manager) ClearBudget() { m.SetBudget(0) }
 
 // OpsCharged reports the operations charged since the last SetBudget (or
 // manager creation).
@@ -262,15 +242,6 @@ func (m *Manager) chargeOp() {
 		m.chaosAt, m.chaosErr = 0, nil
 		panic(err)
 	}
-	if m.ops&m.deadlineMask == 0 && !m.deadline.IsZero() {
-		now := time.Now()
-		if now.After(m.deadline) {
-			panic(ErrBudget)
-		}
-		if m.deadlineMask != deadlineNearMask && m.deadline.Sub(now) < deadlineNear {
-			m.deadlineMask = deadlineNearMask
-		}
-	}
 }
 
 // CacheStats reports this view's computed-cache hit/miss counters
@@ -292,9 +263,8 @@ func New(names ...string) *Manager {
 	}
 	t := newTable(append([]string(nil), names...), nameIdx)
 	return &Manager{
-		t:            t,
-		deadlineMask: deadlineCheckMask,
-		satC:         make(map[Ref]*big.Int),
+		t:    t,
+		satC: make(map[Ref]*big.Int),
 	}
 }
 
@@ -316,10 +286,9 @@ func NewAnon(n int) *Manager {
 func (m *Manager) Share() *Manager {
 	m.t.views.Add(1)
 	return &Manager{
-		t:            m.t,
-		deadlineMask: deadlineCheckMask,
-		satC:         make(map[Ref]*big.Int),
-		satEpoch:     m.t.epoch.Load(),
+		t:        m.t,
+		satC:     make(map[Ref]*big.Int),
+		satEpoch: m.t.epoch.Load(),
 	}
 }
 
@@ -328,7 +297,7 @@ func (m *Manager) Share() *Manager {
 func (m *Manager) Views() int { return int(m.t.views.Load()) }
 
 // TableEpoch reports the table's adoption epoch: the number of in-place
-// GC/sift generations the shared store has gone through.
+// GC generations the shared store has gone through.
 func (m *Manager) TableEpoch() uint64 { return m.t.epoch.Load() }
 
 // setCacheBits pins the ITE cache to 1<<bits entries (the DiffAnd cache

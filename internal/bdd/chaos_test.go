@@ -3,7 +3,6 @@ package bdd
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // recoverSentinel runs fn and returns which resource sentinel (if any)
@@ -27,7 +26,7 @@ func recoverSentinel(t *testing.T, fn func()) (err error) {
 
 func TestChaosAbortFiresAtThreshold(t *testing.T) {
 	m := NewAnon(32)
-	m.SetBudget(0, time.Time{})
+	m.SetBudget(0)
 	m.SetChaosAbort(1, ErrNodeLimit)
 	if err := recoverSentinel(t, func() { buildHeavy(m, 8) }); !errors.Is(err, ErrNodeLimit) {
 		t.Fatalf("chaos abort raised %v, want ErrNodeLimit", err)
@@ -43,7 +42,7 @@ func TestChaosAbortFiresAtThreshold(t *testing.T) {
 
 func TestChaosAbortDefaultsToErrBudget(t *testing.T) {
 	m := NewAnon(16)
-	m.SetBudget(0, time.Time{})
+	m.SetBudget(0)
 	m.SetChaosAbort(3, nil)
 	if err := recoverSentinel(t, func() { buildHeavy(m, 8) }); !errors.Is(err, ErrBudget) {
 		t.Fatalf("chaos abort raised %v, want ErrBudget", err)
@@ -58,7 +57,7 @@ func TestChaosAbortClearedBySetBudget(t *testing.T) {
 	m.SetChaosAbort(1, ErrBudget)
 	// Re-arming the budget resets the meter the threshold was relative
 	// to, so it must disarm the pending abort too.
-	m.SetBudget(0, time.Time{})
+	m.SetBudget(0)
 	if err := recoverSentinel(t, func() { buildHeavy(m, 8) }); err != nil {
 		t.Fatalf("SetBudget left the chaos abort armed: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // diffOracle is the Table 1 composition DiffAnd fuses: three Ands and
@@ -78,7 +77,7 @@ func TestDiffAndCacheHitsAndCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fa, fb := randomFunc(m, rng, 10, 40), randomFunc(m, rng, 10, 40)
 	da, db := randomFunc(m, rng, 10, 40), randomFunc(m, rng, 10, 40)
-	m.SetBudget(0, time.Time{})
+	m.SetBudget(0)
 	r := m.DiffAnd(fa, fb, da, db)
 	if m.OpsCharged() < 2 || m.CacheStats().ApplyMisses == 0 {
 		t.Fatalf("a fresh DiffAnd charged %d ops and %d misses; the operands are too simple",
@@ -86,7 +85,7 @@ func TestDiffAndCacheHitsAndCharges(t *testing.T) {
 	}
 	for _, q := range [][4]Ref{{fa, fb, da, db}, {fb, fa, db, da}} {
 		before := m.CacheStats()
-		m.SetBudget(0, time.Time{})
+		m.SetBudget(0)
 		if got := m.DiffAnd(q[0], q[1], q[2], q[3]); got != r {
 			t.Fatal("repeated DiffAnd changed its result")
 		}
@@ -190,7 +189,7 @@ func TestDiffAndAbortThenRetry(t *testing.T) {
 	}
 	twin, tq := build()
 	base := twin.NodeCount()
-	twin.SetBudget(0, time.Time{})
+	twin.SetBudget(0)
 	want := twin.DiffAnd(tq[0], tq[1], tq[2], tq[3])
 	ops, grown := twin.OpsCharged(), twin.NodeCount()-base
 	if ops < 20 || grown < 4 {
@@ -200,8 +199,8 @@ func TestDiffAndAbortThenRetry(t *testing.T) {
 		name string
 		arm  func(m *Manager)
 	}{
-		{"budget", func(m *Manager) { m.SetBudget(ops/2, time.Time{}) }},
-		{"chaos", func(m *Manager) { m.SetBudget(0, time.Time{}); m.SetChaosAbort(ops/2, ErrNodeLimit) }},
+		{"budget", func(m *Manager) { m.SetBudget(ops / 2) }},
+		{"chaos", func(m *Manager) { m.SetBudget(0); m.SetChaosAbort(ops/2, ErrNodeLimit) }},
 		{"nodelimit", func(m *Manager) { m.SetNodeLimit(m.NodeCount() + grown/2) }},
 	}
 	for _, a := range arms {

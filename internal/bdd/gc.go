@@ -1,5 +1,4 @@
-// In-place generational garbage collection and the memory-pressure ladder
-// primitive built on it.
+// In-place generational garbage collection.
 //
 // Rebuild already implements generational GC by copying live roots into a
 // fresh manager, but it hands back a *new* Manager — callers must rebind
@@ -10,44 +9,20 @@
 // other view sees the collected store as soon as the adoption completes.
 // Callers sharing the table must hold it quiescent around GC (the
 // campaign layer's analysis lock); refs held by any view are invalidated
-// and per-view sat caches are dropped lazily via the table epoch.
-// ReduceUnder stacks the auto-sift hook on top: when the live set alone
-// still exceeds the watermark, the blowup is order-induced rather than
-// garbage-induced, and a capped number of reordering passes is spent
-// trying to shrink it.
+// and per-view sat caches are dropped lazily via the table epoch. GC never
+// changes the variable order.
 package bdd
 
 // GCResult reports what one collection accomplished.
 type GCResult struct {
 	// Before is the node count (live + garbage) when collection started.
 	Before int
-	// AfterGC is the live node count right after the generational copy.
-	AfterGC int
-	// After is the final node count: equal to AfterGC unless the auto-sift
-	// rung fired and found a smaller variable order.
+	// After is the live node count right after the generational copy.
 	After int
-	// Sifted reports that reordering ran (ReduceUnder only). When true the
-	// manager's variable order may have changed: callers holding
-	// order-dependent state (variable→meaning maps) must recompute it.
-	Sifted bool
 }
 
 // Reclaimed is the number of dead nodes the generational copy dropped.
-func (r GCResult) Reclaimed() int { return r.Before - r.AfterGC }
-
-// adopt replaces the shared table's contents with dst's, merging dst's
-// cache statistics into the receiver view's cumulative counters and
-// taking over dst's sat-count cache (its refs are the adopted table's
-// refs). The armed budget, node watermark and logger are the receiver's
-// own and survive unchanged. Other views sharing the table keep their
-// budgets too; their sat caches are invalidated by the epoch bump inside
-// adoptFrom. dst must not be used afterwards.
-func (m *Manager) adopt(dst *Manager) {
-	m.stats.Add(dst.stats)
-	m.t.adoptFrom(dst.t)
-	m.satC = dst.satC
-	m.satEpoch = m.t.epoch.Load()
-}
+func (r GCResult) Reclaimed() int { return r.Before - r.After }
 
 // GC collects the manager in place: the functions rooted at roots are
 // copied into fresh tables (dropping every node not reachable from them —
@@ -60,62 +35,21 @@ func (m *Manager) adopt(dst *Manager) {
 // manager handle. The copy runs on the destination, which has no
 // watermark armed, so GC itself can never raise ErrNodeLimit.
 func (m *Manager) GC(roots []Ref) ([]Ref, GCResult) {
-	out, res := m.gc(roots)
-	if m.gcHook != nil {
-		m.gcHook(res)
-	}
-	return out, res
-}
-
-// gc is the collection body shared by GC and ReduceUnder; it does not
-// fire the GC hook, so each public entry point reports exactly one
-// (final) result per call.
-func (m *Manager) gc(roots []Ref) ([]Ref, GCResult) {
 	res := GCResult{Before: m.NodeCount()}
 	dst := New(m.t.names...)
 	out := m.Transfer(dst, roots...)
-	m.adopt(dst)
-	res.AfterGC = m.NodeCount()
-	res.After = res.AfterGC
-	return out, res
-}
-
-// ReduceUnder is the manager-level memory-pressure ladder: a generational
-// GC of the live roots, then — only when the live set alone still exceeds
-// the watermark, i.e. the blowup is order- rather than garbage-induced —
-// up to siftPasses reordering passes (full Rudell sifting for small
-// variable counts, window-2 permutation above that) trying to pull the
-// live set back under. watermark <= 0 or siftPasses <= 0 disables the
-// sift rung. When the result reports Sifted, the variable order may have
-// changed and order-dependent caller state must be recomputed; the
-// sat-count cache is dropped in that case (counts are order-normalized
-// per node and rebuilt lazily).
-func (m *Manager) ReduceUnder(roots []Ref, watermark, siftPasses int) ([]Ref, GCResult) {
-	out, res := m.gc(roots)
-	if watermark <= 0 || siftPasses <= 0 || res.AfterGC <= watermark {
-		if m.gcHook != nil {
-			m.gcHook(res)
-		}
-		return out, res
-	}
-	// Full sifting tries every variable at every position — affordable for
-	// the variable counts where it shines; window permutation scales to
-	// wide circuits at the cost of a weaker search.
-	const fullSiftVars = 16
-	var (
-		next     *Manager
-		newRoots []Ref
-	)
-	if m.NumVars() <= fullSiftVars {
-		next, newRoots, _ = m.Sift(out, siftPasses)
-	} else {
-		next, newRoots, _ = m.WindowReorder(out, 2, siftPasses)
-	}
-	m.adopt(next)
-	res.Sifted = true
+	// Adopt dst's tables in place: its cache statistics merge into this
+	// view's cumulative counters and its sat-count cache (whose refs are
+	// the adopted table's refs) replaces ours. Other views keep their
+	// budgets; the epoch bump inside adoptFrom invalidates their sat
+	// caches.
+	m.stats.Add(dst.stats)
+	m.t.adoptFrom(dst.t)
+	m.satC = dst.satC
+	m.satEpoch = m.t.epoch.Load()
 	res.After = m.NodeCount()
 	if m.gcHook != nil {
 		m.gcHook(res)
 	}
-	return newRoots, res
+	return out, res
 }

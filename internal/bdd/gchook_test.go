@@ -27,46 +27,6 @@ func TestGCHookFiresOncePerGC(t *testing.T) {
 	}
 }
 
-func TestGCHookFiresOncePerReduceUnder(t *testing.T) {
-	// Early-return path: live set under the watermark, no sift needed.
-	m := NewAnon(16)
-	live := buildHeavy(m, 8)
-	var fired []GCResult
-	m.SetGCHook(func(res GCResult) { fired = append(fired, res) })
-	_, res := m.ReduceUnder([]Ref{live}, 1<<20, 4)
-	if len(fired) != 1 || fired[0].Sifted {
-		t.Fatalf("no-sift ReduceUnder: %d fires (sifted=%v), want exactly 1 plain fire",
-			len(fired), len(fired) > 0 && fired[0].Sifted)
-	}
-	if fired[0] != res {
-		t.Fatalf("hook saw %+v, ReduceUnder returned %+v", fired[0], res)
-	}
-
-	// Sift path: interleaved pair function over a tiny watermark.
-	const pairs = 6
-	names := make([]string, 2*pairs)
-	for i := range names {
-		names[i] = "v" + string(rune('a'+i))
-	}
-	m2 := New(names...)
-	f := False
-	for i := 0; i < pairs; i++ {
-		f = m2.Or(f, m2.And(m2.Var(i), m2.Var(pairs+i)))
-	}
-	fired = nil
-	m2.SetGCHook(func(res GCResult) { fired = append(fired, res) })
-	_, res2 := m2.ReduceUnder([]Ref{f}, 32, 4)
-	if !res2.Sifted {
-		t.Fatal("sift rung did not engage") // precondition, not the hook
-	}
-	if len(fired) != 1 || !fired[0].Sifted {
-		t.Fatalf("sifting ReduceUnder: %d fires, want exactly 1 carrying Sifted", len(fired))
-	}
-	if fired[0] != res2 {
-		t.Fatalf("hook saw %+v, ReduceUnder returned %+v", fired[0], res2)
-	}
-}
-
 func TestTableLoad(t *testing.T) {
 	m := NewAnon(16)
 	buildHeavy(m, 32)

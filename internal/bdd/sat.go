@@ -6,7 +6,7 @@ import (
 )
 
 // syncSatEpoch drops the view's sat-count cache when the shared table has
-// been adopted in place (GC/sift) since the cache was filled: node ids
+// been adopted in place (GC) since the cache was filled: node ids
 // were reassigned, so the cached counts name the wrong functions.
 func (m *Manager) syncSatEpoch() {
 	if e := m.t.epoch.Load(); e != m.satEpoch {

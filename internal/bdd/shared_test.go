@@ -329,47 +329,6 @@ func TestGCWithMultipleViewsHoldingRoots(t *testing.T) {
 	}
 }
 
-// TestReduceUnderSiftWithViews checks that a recovery-ladder sift (which
-// rebuilds the shared table under a new variable order and adopts it in
-// place) leaves sibling views consistent: they observe the epoch bump and
-// agree on the remapped roots.
-func TestReduceUnderSiftWithViews(t *testing.T) {
-	const k = 5
-	names := make([]string, 0, 2*k)
-	for i := 0; i < k; i++ {
-		names = append(names, "a"+string(rune('0'+i)))
-	}
-	for i := 0; i < k; i++ {
-		names = append(names, "b"+string(rune('0'+i)))
-	}
-	m := New(names...)
-	v := m.Share()
-	f := False
-	for i := 0; i < k; i++ {
-		f = m.Or(f, m.And(m.Var(i), m.Var(k+i)))
-	}
-	epoch := v.TableEpoch()
-	roots, res := m.ReduceUnder([]Ref{f}, 1, 4)
-	if !res.Sifted {
-		t.Fatal("watermark 1 must force a sift")
-	}
-	if v.TableEpoch() == epoch {
-		t.Fatal("sift adoption must bump the epoch for sibling views")
-	}
-	// The sibling view rebuilds the function under the new order and must
-	// land on the same ref.
-	g := False
-	for i := 0; i < k; i++ {
-		g = v.Or(g, v.And(v.VarNamed("a"+string(rune('0'+i))), v.VarNamed("b"+string(rune('0'+i)))))
-	}
-	if g != roots[0] {
-		t.Fatalf("sibling view rebuilt %v, sift returned %v", g, roots[0])
-	}
-	if got := m.Size(roots[0]); got != 2*k+1 {
-		t.Fatalf("sifted size %d, want optimum %d", got, 2*k+1)
-	}
-}
-
 // BenchmarkSharedTableParallel builds overlapping random functions on
 // Share views of one table from every benchmark goroutine: each operation
 // rebuilds one of a fixed pool of sums of cubes. The computed cache is

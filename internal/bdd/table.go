@@ -146,7 +146,7 @@ type table struct {
 	growMu sync.Mutex // serializes computed-cache growth
 	noGrow bool       // test hook: pin the cache size
 
-	// epoch counts in-place adoptions (GC/sift). Views compare it against
+	// epoch counts in-place adoptions (GC). Views compare it against
 	// their own satEpoch to invalidate per-view sat-count caches lazily.
 	epoch atomic.Uint64
 	views atomic.Int64

@@ -1,9 +1,6 @@
 package bdd
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Transfer copies the functions rooted at refs from m into dst, returning
 // the corresponding refs in dst. Variables are matched by name, so dst may
@@ -18,8 +15,8 @@ import (
 // normalized to each node's own level — stay valid. The carry walks the
 // transfer memo table, so its cost scales with the number of transferred
 // nodes, not with the size of the source's sat cache. This keeps syndrome
-// and detectability counting warm across generational rebuilds and
-// sifting. Transfer reads but never mutates the source manager, so many
+// and detectability counting warm across generational rebuilds.
+// Transfer reads but never mutates the source manager, so many
 // destinations may be filled from one source concurrently.
 //
 // Any operation budget or node watermark armed on dst is suspended for
@@ -31,14 +28,12 @@ func (m *Manager) Transfer(dst *Manager, refs ...Ref) []Ref {
 		return append([]Ref(nil), refs...)
 	}
 	savedOps, savedBudget := dst.ops, dst.budgetOps
-	savedDeadline, savedMask := dst.deadline, dst.deadlineMask
 	savedLimit := dst.nodeLimit
 	savedChaosAt, savedChaosErr := dst.chaosAt, dst.chaosErr
-	dst.budgetOps, dst.deadline, dst.nodeLimit = 0, time.Time{}, 0
+	dst.budgetOps, dst.nodeLimit = 0, 0
 	dst.chaosAt, dst.chaosErr = 0, nil
 	defer func() {
 		dst.ops, dst.budgetOps = savedOps, savedBudget
-		dst.deadline, dst.deadlineMask = savedDeadline, savedMask
 		dst.nodeLimit = savedLimit
 		dst.chaosAt, dst.chaosErr = savedChaosAt, savedChaosErr
 	}()

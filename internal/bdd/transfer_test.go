@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // buildHeavyRng is buildHeavy with a caller-owned rng, so one manager can
@@ -40,7 +39,7 @@ func TestTransferIntoBudgetArmedManager(t *testing.T) {
 	// Reversed order forces the Ite path; budget of 1 op and a 2-node limit
 	// would both trip immediately if transfer charged them.
 	dst := New("f", "e", "d", "c", "b", "a")
-	dst.SetBudget(1, time.Time{})
+	dst.SetBudget(1)
 	dst.SetNodeLimit(2)
 	out := func() []Ref {
 		defer func() {

@@ -1,5 +1,5 @@
 // Package campaignflags declares the campaign flags cmd/diffprop and
-// cmd/figures share: parallelism, the per-fault budgets and recovery
+// cmd/figures share: parallelism, the per-fault budget and recovery
 // ladder, the heap governor, calibration, observability and process
 // supervision. It parses them into an analysis.CampaignConfig, builds
 // the observer they select, and renders a campaign configuration back
@@ -14,7 +14,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/diffprop"
@@ -40,9 +39,7 @@ type Flags struct {
 
 	workers   int
 	budget    int64
-	timeout   time.Duration
 	nodeLimit int
-	gcAuto    bool
 	retryMult float64
 	memLimit  string
 	calibrate bool
@@ -60,10 +57,8 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.IntVar(&f.workers, "workers", workers, "parallel analysis workers per campaign (0 = one per CPU)")
 	fs.BoolVar(&f.Verbose, "v", false, "stream progress and campaign runtime stats to stderr")
 	fs.Int64Var(&f.budget, "budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
-	fs.DurationVar(&f.timeout, "timeout", 0, "per-fault wall-clock budget (0 = unlimited)")
 	fs.IntVar(&f.nodeLimit, "nodelimit", 0, "per-fault BDD node-count watermark (0 = unlimited); a tripped analysis enters the recovery ladder")
-	fs.BoolVar(&f.gcAuto, "gcauto", false, "enable recovery sifting: reorder variables when post-GC node counts still exceed -nodelimit (defaults -nodelimit to 1Mi nodes if unset)")
-	fs.Float64Var(&f.retryMult, "retrybudget", 0, "retry a blown fault once under its budgets scaled by this multiplier before degrading (<=1 disables)")
+	fs.Float64Var(&f.retryMult, "retrybudget", 0, "retry a blown fault once under its budget and node watermark scaled by this multiplier before degrading (<=1 disables)")
 	fs.StringVar(&f.memLimit, "memlimit", "", "campaign heap ceiling, e.g. 2GiB: park workers near it instead of OOMing (empty = GOMEMLIMIT if set; off = never)")
 	fs.BoolVar(&f.calibrate, "calibrate", false, "self-calibrate each campaign's per-fault budget and retry ladder from the circuit's measured op-cost distribution (replaces hand-tuned -budget/-retrybudget)")
 	fs.StringVar(&f.httpAddr, "http", "", "serve the debug endpoints (/metrics, /progress, /debug/pprof) on this address, e.g. :6060")
@@ -79,30 +74,22 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 }
 
 // Campaign returns the campaign settings the flags select: Workers,
-// FaultOps, FaultTimeout, Recovery, MemLimit and Calibrate.
+// FaultOps, Recovery, MemLimit and Calibrate.
 func (f *Flags) Campaign() (analysis.CampaignConfig, error) {
 	mem, err := analysis.ParseMemLimit(f.memLimit)
 	if err != nil {
 		return analysis.CampaignConfig{}, fmt.Errorf("-memlimit: %w", err)
 	}
-	cfg := analysis.CampaignConfig{
-		Workers:      f.workers,
-		FaultOps:     f.budget,
-		FaultTimeout: f.timeout,
+	return analysis.CampaignConfig{
+		Workers:  f.workers,
+		FaultOps: f.budget,
 		Recovery: diffprop.Recovery{
 			NodeLimit:       f.nodeLimit,
 			RetryMultiplier: f.retryMult,
 		},
 		MemLimit:  mem,
 		Calibrate: analysis.Calibration{Enabled: f.calibrate},
-	}
-	if f.gcAuto {
-		cfg.Recovery.SiftPasses = diffprop.DefaultSiftPasses
-		if cfg.Recovery.NodeLimit == 0 {
-			cfg.Recovery.NodeLimit = 1 << 20
-		}
-	}
-	return cfg, nil
+	}, nil
 }
 
 // Args renders the flag-settable fields of cfg (those Campaign fills) as
@@ -113,14 +100,8 @@ func Args(cfg analysis.CampaignConfig) []string {
 	if cfg.FaultOps != 0 {
 		args = append(args, "-budget", strconv.FormatInt(cfg.FaultOps, 10))
 	}
-	if cfg.FaultTimeout != 0 {
-		args = append(args, "-timeout", cfg.FaultTimeout.String())
-	}
 	if cfg.Recovery.NodeLimit != 0 {
 		args = append(args, "-nodelimit", strconv.Itoa(cfg.Recovery.NodeLimit))
-	}
-	if cfg.Recovery.SiftPasses > 0 {
-		args = append(args, "-gcauto")
 	}
 	if cfg.Recovery.RetryMultiplier != 0 {
 		args = append(args, "-retrybudget", strconv.FormatFloat(cfg.Recovery.RetryMultiplier, 'g', -1, 64))

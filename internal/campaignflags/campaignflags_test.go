@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/diffprop"
 )
 
 func parse(t *testing.T, workers int, args []string) analysis.CampaignConfig {
@@ -35,11 +34,10 @@ func TestArgsRoundTrip(t *testing.T) {
 		"",
 		"-workers 4",
 		"-workers 0 -calibrate",
-		"-gcauto",
-		"-gcauto -nodelimit 5000",
+		"-nodelimit 5000",
 		"-nodelimit 70000 -retrybudget 16",
 		"-retrybudget 0.5",
-		"-budget 200000 -timeout 1.5s",
+		"-budget 200000 -nodelimit 5000",
 		"-budget -1",
 		"-memlimit 2GiB",
 		"-memlimit 512MiB -workers 3",
@@ -59,14 +57,6 @@ func TestArgsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCampaignGCAutoDefaultsNodeLimit(t *testing.T) {
-	cfg := parse(t, 1, []string{"-gcauto"})
-	want := diffprop.Recovery{NodeLimit: 1 << 20, SiftPasses: diffprop.DefaultSiftPasses}
-	if cfg.Recovery != want {
-		t.Fatalf("-gcauto recovery = %+v, want %+v", cfg.Recovery, want)
-	}
-}
-
 func TestCampaignRejectsBadValues(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs, 1)
@@ -75,5 +65,15 @@ func TestCampaignRejectsBadValues(t *testing.T) {
 	}
 	if _, err := f.Campaign(); err == nil || !strings.Contains(err.Error(), "-memlimit") {
 		t.Errorf("-memlimit lots: error %v, want one naming -memlimit", err)
+	}
+	// There is no wall-clock budget and no sift rung: their old flags must
+	// be refused, not silently ignored.
+	for _, args := range [][]string{{"-timeout", "1s"}, {"-gcauto"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs, 1)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%q parsed, want an undefined-flag error", args)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/circuits"
@@ -50,14 +49,14 @@ func TestFaultBudgetAbortAndRecover(t *testing.T) {
 	}
 
 	// A one-op budget cannot finish any real propagation.
-	e.SetFaultBudget(FaultBudget{Ops: 1})
+	e.SetFaultBudget(1)
 	if _, aborted := analyzeBudgeted(t, e, fs[0]); !aborted {
 		t.Fatal("Ops=1 budget did not abort the analysis")
 	}
 
 	// After Recover + a generous budget, queries must match the
 	// unbudgeted reference exactly.
-	e.SetFaultBudget(FaultBudget{Ops: 1 << 40, Wall: time.Minute})
+	e.SetFaultBudget(1 << 40)
 	for i := range want {
 		got := e.StuckAt(fs[i])
 		got.PerPO = nil
@@ -69,10 +68,7 @@ func TestFaultBudgetAbortAndRecover(t *testing.T) {
 	}
 
 	// Disarming restores unbounded analysis.
-	e.SetFaultBudget(FaultBudget{})
-	if e.FaultBudget().active() {
-		t.Fatal("zero budget reports active")
-	}
+	e.SetFaultBudget(0)
 	if _, aborted := analyzeBudgeted(t, e, fs[0]); aborted {
 		t.Fatal("disarmed budget still aborts")
 	}
@@ -84,8 +80,8 @@ func TestShareCopiesFaultBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetFaultBudget(FaultBudget{Ops: 123, Wall: time.Second})
-	if got := e.Share().FaultBudget(); got != (FaultBudget{Ops: 123, Wall: time.Second}) {
-		t.Fatalf("view budget = %+v", got)
+	e.SetFaultBudget(123)
+	if got := e.Share().FaultBudget(); got != 123 {
+		t.Fatalf("view budget = %d", got)
 	}
 }

@@ -35,37 +35,17 @@ import (
 	"repro/internal/netlist"
 )
 
-// FaultBudget bounds the resources a single fault analysis may consume.
-// Ops caps the number of charged BDD operations (cache-miss recursions);
-// Wall caps the wall-clock time. A zero field means unlimited. When a
-// budget is exceeded the analysis panics with bdd.ErrBudget; callers
-// recover at the analysis boundary and must call Engine.Recover before
-// issuing further queries.
-type FaultBudget struct {
-	Ops  int64
-	Wall time.Duration
-}
-
-func (b FaultBudget) active() bool { return b.Ops > 0 || b.Wall > 0 }
-
-// DefaultSiftPasses is the sift-pass cap used when recovery sifting is
-// enabled without an explicit budget.
-const DefaultSiftPasses = 2
-
 // Recovery configures the engine's graceful-recovery ladder — what happens
 // between "a fault analysis blew a resource bound" and "degrade it to a
 // simulation estimate":
 //
 //  1. the manager is garbage-collected in place around the good functions
 //     (always, it is what Recover has always done);
-//  2. when NodeLimit is set and the live good functions alone still exceed
-//     it, up to SiftPasses variable-reordering passes try to shrink them
-//     (the blowup was order-induced);
-//  3. when RetryMultiplier > 1, the caller may re-attempt the fault once
-//     under budgets scaled by the multiplier (see RelaxBudget).
+//  2. when RetryMultiplier > 1, the caller may re-attempt the fault once
+//     under bounds scaled by the multiplier (see RelaxBudget).
 //
-// The zero value disables the watermark, the sift rung and the retry rung,
-// leaving the engine's historical behavior unchanged.
+// The zero value disables the watermark and the retry rung. No rung
+// changes the variable order: it is fixed when New builds the engine.
 type Recovery struct {
 	// NodeLimit arms a per-analysis BDD node-count soft watermark: an
 	// analysis that would grow the table past it aborts with
@@ -73,12 +53,9 @@ type Recovery struct {
 	// 1.5x the live node count when the configured value leaves no
 	// headroom, so the good functions alone can never trip it. 0 disarms.
 	NodeLimit int
-	// SiftPasses caps the reordering passes of the sift rung (0 disables
-	// sifting).
-	SiftPasses int
-	// RetryMultiplier scales FaultBudget.Ops, FaultBudget.Wall and
-	// NodeLimit for a single relaxed re-attempt of a blown fault
-	// (values <= 1 disable the retry rung).
+	// RetryMultiplier scales the fault budget and NodeLimit for a single
+	// relaxed re-attempt of a blown fault (values <= 1 disable the retry
+	// rung).
 	RetryMultiplier float64
 }
 
@@ -115,8 +92,9 @@ type Engine struct {
 	synValid  []bool
 
 	// varToInput maps each BDD variable position to its primary-input
-	// declaration index. The mapping is invariant
-	// for the engine's lifetime, so it is computed once in New.
+	// declaration index. No collection or recovery rung reorders the
+	// variables, so the mapping is fixed by New and aliased by every Share
+	// view.
 	varToInput []int
 
 	// reach is the fan-out reachability table: one packed bitset row per
@@ -146,26 +124,20 @@ type Engine struct {
 	// per consuming pin; the memo bounds that to once per site per fault.
 	notMemo map[int]bdd.Ref
 
-	// faultBudget bounds each analysis when active (see SetFaultBudget);
-	// recovery configures the ladder run when a bound fires (SetRecovery).
-	faultBudget FaultBudget
+	// faultBudget caps the BDD operations each analysis may charge (0 =
+	// unlimited, see SetFaultBudget); recovery configures the ladder run
+	// when a bound fires (SetRecovery).
+	faultBudget int64
 	recovery    Recovery
 
-	// lastSiftSize is the live node count the most recent recovery sift
-	// settled at (0 = never sifted). The good functions are fixed for the
-	// engine's lifetime, so a sift that could not pull them under the
-	// watermark will not do better on the next recovery; this gates the
-	// sift rung to run once per engine. Engines sharing one table keep the
-	// gate in sharedState instead — one sift serves every view.
-	lastSiftSize int
-
 	// shared is non-nil for engines created by (or used as the source of)
-	// Share: views over one BDD table coordinating through a read/write
-	// lock. Fault analyses run under the read side (concurrent), in-place
-	// GC and sifting under the write side (exclusive). The good and
-	// varToInput slices are aliased across all views and rebound in place,
-	// so a GC by one view re-roots every other view at once.
-	shared *sharedState
+	// Share: the read/write lock the views over one BDD table coordinate
+	// through, matching the table's concurrency contract. Fault analyses
+	// (which only add nodes) run under the read side, concurrently;
+	// in-place GC (which re-roots the table) under the write side. The good
+	// slice is aliased across all views and rebound in place, so a GC by
+	// one view re-roots every other view at once.
+	shared *sync.RWMutex
 
 	// log receives structured engine events (rebuilds, budget aborts);
 	// nil is silent. Not shared with other views.
@@ -196,7 +168,6 @@ type Engine struct {
 	analyses       int
 	peakNodes      int
 	nodesReclaimed int64
-	sifts          int
 
 	// gatesVisited/gatesSkipped split each analysis's gate walk: visited
 	// gates entered the propagation loop (the fault's merged cone under the
@@ -281,8 +252,6 @@ type Stats struct {
 	Rebuilds int
 	// NodesReclaimed totals the dead nodes those GC passes dropped.
 	NodesReclaimed int64
-	// Sifts counts recovery-ladder variable-reordering runs.
-	Sifts int
 	// PeakNodes is the largest node count the manager reached.
 	PeakNodes int
 	// Cache aggregates apply/ite/not cache hits and misses, including
@@ -302,7 +271,6 @@ func (s *Stats) Merge(other Stats) {
 	s.GatesSkipped += other.GatesSkipped
 	s.Rebuilds += other.Rebuilds
 	s.NodesReclaimed += other.NodesReclaimed
-	s.Sifts += other.Sifts
 	if other.PeakNodes > s.PeakNodes {
 		s.PeakNodes = other.PeakNodes
 	}
@@ -322,7 +290,6 @@ func (e *Engine) Stats() Stats {
 		GatesSkipped:    e.gatesSkipped,
 		Rebuilds:        e.rebuilds,
 		NodesReclaimed:  e.nodesReclaimed,
-		Sifts:           e.sifts,
 		PeakNodes:       peak,
 		Cache:           e.m.CacheStats(),
 	}
@@ -413,34 +380,16 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 			}
 		}
 	}
-	e.varToInput = buildVarToInput(work, m)
+	e.varToInput = make([]int, m.NumVars())
+	for i, n := range work.InputNames() {
+		e.varToInput[m.VarIndex(n)] = i
+	}
 	// The reachability table serves double duty as the cone index of the
 	// worklist propagation, so it is built eagerly: one reverse-topological
 	// sweep here, aliased by every Share view thereafter.
 	e.reach = faults.NewReachability(work)
 	e.peakNodes = m.NodeCount()
 	return e, nil
-}
-
-// buildVarToInput computes the BDD-variable-position → primary-input-index
-// mapping.
-func buildVarToInput(c *netlist.Circuit, m *bdd.Manager) []int {
-	out := make([]int, m.NumVars())
-	for i, n := range c.InputNames() {
-		out[m.VarIndex(n)] = i
-	}
-	return out
-}
-
-// sharedState coordinates the engines sharing one BDD table. The lock
-// has reader/writer semantics matching the table's concurrency contract:
-// fault analyses (which only add nodes) run under RLock concurrently,
-// while in-place GC and sifting (which re-root the table) require the
-// exclusive Lock. lastSiftSize moves here from the per-engine field so
-// the one-sift-per-good-set gate spans every view.
-type sharedState struct {
-	mu           sync.RWMutex
-	lastSiftSize int
 }
 
 // Share returns an engine over the same circuit and the same BDD node
@@ -450,11 +399,11 @@ type sharedState struct {
 // shared views — including the receiver — must bracket every fault query
 // with AnalysisLock, which coordinates concurrent analyses with in-place
 // compaction. Budgets, recovery settings, statistics and the syndrome
-// cache are per-view; the good and varToInput slices are aliased so
-// recovery by one view re-roots all of them.
+// cache are per-view; the good slice is aliased so recovery by one view
+// re-roots all of them.
 func (e *Engine) Share() *Engine {
 	if e.shared == nil {
-		e.shared = &sharedState{lastSiftSize: e.lastSiftSize}
+		e.shared = &sync.RWMutex{}
 	}
 	return &Engine{
 		Circuit:      e.Circuit,
@@ -488,14 +437,14 @@ func (e *Engine) AnalysisLock() func() {
 		return func() {}
 	}
 	if e.m.NodeCount() > e.rebuildLimit {
-		sh.mu.Lock()
+		sh.Lock()
 		if e.m.NodeCount() > e.rebuildLimit {
 			e.compact("limit")
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 	}
-	sh.mu.RLock()
-	return sh.mu.RUnlock
+	sh.RLock()
+	return sh.RUnlock
 }
 
 // Manager exposes the engine's BDD manager (for witness extraction,
@@ -515,7 +464,7 @@ func (e *Engine) Rebuilds() int { return e.rebuilds }
 // VarToInput returns, for each BDD variable position, the index of the
 // corresponding primary input in circuit declaration order. Needed to
 // translate AnySat cubes (variable order) into test vectors (input order).
-// The mapping is invariant for the engine's lifetime and computed once in
+// The mapping is fixed for the engine's lifetime and computed once in
 // New; the returned slice is the engine's cached copy and must not be
 // modified.
 func (e *Engine) VarToInput() []int { return e.varToInput }
@@ -540,15 +489,15 @@ func (e *Engine) Syndrome(net int) float64 {
 	return e.syndromes[net]
 }
 
-// SetFaultBudget arms a per-analysis resource budget: every subsequent
-// fault query charges BDD operations against budget.Ops and the clock
-// against budget.Wall, and panics with bdd.ErrBudget when either is
-// exhausted. The zero budget disarms. After recovering from bdd.ErrBudget
-// the caller must invoke Recover before the next query.
-func (e *Engine) SetFaultBudget(budget FaultBudget) { e.faultBudget = budget }
+// SetFaultBudget arms a per-analysis operation budget: every subsequent
+// fault query charges BDD operations (one per ITE or DiffAnd step) against
+// ops and panics with bdd.ErrBudget once it is exhausted. Zero disarms.
+// After recovering from bdd.ErrBudget the caller must invoke Recover
+// before the next query.
+func (e *Engine) SetFaultBudget(ops int64) { e.faultBudget = ops }
 
-// FaultBudget returns the currently armed per-analysis budget.
-func (e *Engine) FaultBudget() FaultBudget { return e.faultBudget }
+// FaultBudget returns the currently armed per-analysis operation budget.
+func (e *Engine) FaultBudget() int64 { return e.faultBudget }
 
 // SetRecovery configures the graceful-recovery ladder (see Recovery). The
 // zero value restores the historical GC-only behavior.
@@ -557,20 +506,19 @@ func (e *Engine) SetRecovery(r Recovery) { e.recovery = r }
 // Recovery returns the configured recovery ladder.
 func (e *Engine) Recovery() Recovery { return e.recovery }
 
-// RelaxBudget arms the ladder's retry rung: the per-fault budget (ops and
-// wall) and the node watermark are scaled by Recovery.RetryMultiplier so
+// RelaxBudget arms the ladder's retry rung: the per-fault operation budget
+// and the node watermark are scaled by Recovery.RetryMultiplier so
 // the caller can re-attempt a blown fault once with more headroom. It
 // returns a restore function that reinstates the original bounds, and
 // ok=false — arming nothing — when the retry rung is disabled
 // (RetryMultiplier <= 1) or there is no bound to relax.
 func (e *Engine) RelaxBudget() (restore func(), ok bool) {
 	mult := e.recovery.RetryMultiplier
-	if mult <= 1 || (!e.faultBudget.active() && e.recovery.NodeLimit <= 0) {
+	if mult <= 1 || (e.faultBudget <= 0 && e.recovery.NodeLimit <= 0) {
 		return nil, false
 	}
 	savedBudget, savedRecovery := e.faultBudget, e.recovery
-	e.faultBudget.Ops = scaleBound(savedBudget.Ops, mult)
-	e.faultBudget.Wall = time.Duration(scaleBound(int64(savedBudget.Wall), mult))
+	e.faultBudget = scaleBound(savedBudget, mult)
 	e.recovery.NodeLimit = int(scaleBound(int64(savedRecovery.NodeLimit), mult))
 	return func() {
 		e.faultBudget, e.recovery = savedBudget, savedRecovery
@@ -616,15 +564,11 @@ func (e *Engine) begin() {
 		}
 	}
 	e.m.SetNodeLimit(lim)
-	var deadline time.Time
-	if e.faultBudget.Wall > 0 {
-		deadline = time.Now().Add(e.faultBudget.Wall)
-	}
 	// Always arm, even with a zero (unlimited) budget: SetBudget resets
 	// the manager's charge meter, making AnalysisOps a per-analysis count
 	// — the sample the campaign layer's budget self-calibration learns
 	// from.
-	e.m.SetBudget(e.faultBudget.Ops, deadline)
+	e.m.SetBudget(e.faultBudget)
 	if e.chaosAt > 0 {
 		e.m.SetChaosAbort(e.chaosAt, e.chaosErr)
 		e.chaosAt, e.chaosErr = 0, nil
@@ -633,15 +577,12 @@ func (e *Engine) begin() {
 
 // Recover restores the engine after an aborted analysis (a bdd.ErrBudget
 // or bdd.ErrNodeLimit panic, or any panic that escaped a fault query) by
-// running the recovery ladder's engine-side rungs: the manager is
+// running the recovery ladder's engine-side rung: the manager is
 // garbage-collected in place around the good functions, dropping every
-// node the aborted query left behind, and — when a node watermark is
-// configured, the live set still exceeds it, and the sift rung is enabled
-// — a capped number of variable-reordering passes tries to shrink the
-// good functions themselves. The budget and watermark are disarmed until
-// the next query re-arms them. The abort fires only between node-table
-// mutations and the node store is append-only, so recovery always starts
-// from a consistent table.
+// node the aborted query left behind. The variable order is unchanged.
+// The budget and watermark are disarmed until the next query re-arms
+// them. The abort fires only between node-table mutations and the node
+// store is append-only, so recovery always starts from a consistent table.
 func (e *Engine) Recover() {
 	// OpsCharged must be read before ClearBudget resets the meter.
 	e.lastAbortOps = e.m.OpsCharged()
@@ -653,68 +594,18 @@ func (e *Engine) Recover() {
 	e.chaosAt, e.chaosErr = 0, nil
 	if sh := e.shared; sh != nil {
 		// Recover is reached inside an analysis, i.e. under the read lock.
-		// The ladder re-roots the shared table, which needs the exclusive
+		// The GC re-roots the shared table, which needs the exclusive
 		// lock, so escalate: drop the read side, collect, re-enter. This
 		// cannot deadlock — every other holder of the read side that needs
 		// the write lock drops its read lock first, exactly like here.
-		sh.mu.RUnlock()
-		sh.mu.Lock()
-		e.recoverLadder()
-		sh.mu.Unlock()
-		sh.mu.RLock()
+		sh.RUnlock()
+		sh.Lock()
+		e.compact("recover")
+		sh.Unlock()
+		sh.RLock()
 		return
 	}
-	e.recoverLadder()
-}
-
-// recoverLadder runs the engine-side recovery rungs. Shared engines call
-// it under the exclusive lock; unshared ones directly.
-func (e *Engine) recoverLadder() {
-	before := e.m.NodeCount()
-	if before > e.peakNodes {
-		e.peakNodes = before
-	}
-	passes := e.recovery.SiftPasses
-	if e.siftSize() > 0 {
-		// The good functions cannot change, so one sift per good set is all
-		// that can ever help (shared views inherit the order).
-		passes = 0
-	}
-	roots, res := e.m.ReduceUnder(e.good, e.recovery.NodeLimit, passes)
-	// Rebind in place: shared views alias this slice, so the copy re-roots
-	// every one of them at once.
-	copy(e.good, roots)
-	e.rebuilds++
-	e.nodesReclaimed += int64(res.Reclaimed())
-	if res.Sifted {
-		e.sifts++
-		e.setSiftSize(res.After)
-		// Reordering moved the variables: the position→input map must be
-		// recomputed (in place, for the same aliasing reason). Syndromes are
-		// per-net fractions and stay valid.
-		copy(e.varToInput, buildVarToInput(e.Circuit, e.m))
-	}
-	if e.log != nil {
-		e.log.Debug("engine recover", "ops_charged", e.lastAbortOps,
-			"nodes_before", before, "nodes_after", e.m.NodeCount(),
-			"reclaimed", res.Reclaimed(), "sifted", res.Sifted, "rebuilds", e.rebuilds)
-	}
-}
-
-// siftSize reads the one-sift gate from wherever it lives for this engine.
-func (e *Engine) siftSize() int {
-	if e.shared != nil {
-		return e.shared.lastSiftSize
-	}
-	return e.lastSiftSize
-}
-
-func (e *Engine) setSiftSize(n int) {
-	if e.shared != nil {
-		e.shared.lastSiftSize = n
-		return
-	}
-	e.lastSiftSize = n
+	e.compact("recover")
 }
 
 // maybeCompact garbage-collects the manager around the good functions when
@@ -729,8 +620,8 @@ func (e *Engine) maybeCompact() {
 // compact garbage-collects the manager in place around the good functions.
 // The manager keeps its identity, so cumulative cache statistics and the
 // node high-water mark survive without engine-side accumulators. Shared by
-// maybeCompact (node-table growth) and GCNow (the campaign memory
-// governor).
+// maybeCompact (node-table growth), Recover (the ladder's GC rung) and
+// GCNow (the campaign memory governor).
 func (e *Engine) compact(cause string) {
 	before := e.m.NodeCount()
 	if before > e.peakNodes {
@@ -755,9 +646,9 @@ func (e *Engine) compact(cause string) {
 // other views; callers must not hold AnalysisLock when invoking it.
 func (e *Engine) GCNow() {
 	if sh := e.shared; sh != nil {
-		sh.mu.Lock()
+		sh.Lock()
 		e.compact("governor")
-		sh.mu.Unlock()
+		sh.Unlock()
 		return
 	}
 	e.compact("governor")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/circuits"
@@ -120,7 +119,7 @@ func TestBeginRaisesWatermarkToHeadroom(t *testing.T) {
 	}
 }
 
-func TestRecoverSiftRungFiresOnce(t *testing.T) {
+func TestRecoverKeepsVariableOrder(t *testing.T) {
 	c := circuits.MustGet("alu181")
 	e, err := New(c, nil)
 	if err != nil {
@@ -132,35 +131,28 @@ func TestRecoverSiftRungFiresOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	heavy := heavyFault(t, ref, fs)
-	want := scalars(ref.StuckAt(fs[heavy]))
+	names := append([]string(nil), e.m.Names()...)
+	varToInput := append([]int(nil), e.VarToInput()...)
 
-	// Watermark 1 guarantees the post-GC live set still exceeds it, so the
-	// sift rung must fire on the first recovery and be skipped afterwards.
-	e.SetRecovery(Recovery{NodeLimit: 1, SiftPasses: DefaultSiftPasses})
+	// Watermark 1 leaves the post-GC live set above it: the strongest case
+	// for reordering, which the ladder must still not do. The second abort
+	// is forced through the chaos seam, which enters the same ladder.
+	e.SetRecovery(Recovery{NodeLimit: 1})
 	if _, aborted := analyzeLimited(t, e, fs[heavy]); !aborted {
 		t.Fatalf("NodeLimit=1 did not abort the analysis of fault %d", heavy)
 	}
-	if got := e.Stats().Sifts; got != 1 {
-		t.Fatalf("sift rung ran %d times after first recovery, want 1", got)
+	e.ArmChaosAbort(1, bdd.ErrNodeLimit)
+	if _, aborted := analyzeLimited(t, e, fs[0]); !aborted {
+		t.Fatal("a forced node-limit abort did not fire")
 	}
-	// Abort more analyses; however many, the sift rung must never fire
-	// again on this engine's fixed good set. The sifted order may keep
-	// every other fault under the floor, so the aborts are forced through
-	// the chaos seam, which enters the same ladder.
-	for _, f := range fs[:3] {
-		e.ArmChaosAbort(1, bdd.ErrNodeLimit)
-		if _, aborted := analyzeLimited(t, e, f); !aborted {
-			t.Fatal("a forced node-limit abort did not fire; the once-only guard went untested")
-		}
+	if e.Stats().Rebuilds != 2 {
+		t.Fatalf("two aborts ran %d ladder collections, want 2", e.Stats().Rebuilds)
 	}
-	if got := e.Stats().Sifts; got != 1 {
-		t.Fatalf("sift rung re-ran on a fixed good set: %d runs, want 1", got)
+	if got := e.m.Names(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("variable order after Recover = %v, want %v", got, names)
 	}
-
-	// The reordered engine must still compute exact results.
-	e.SetRecovery(Recovery{})
-	if got := scalars(e.StuckAt(fs[heavy])); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-sift result %+v != reference %+v", got, want)
+	if got := e.VarToInput(); !reflect.DeepEqual(got, varToInput) {
+		t.Fatalf("position->input map after Recover = %v, want %v", got, varToInput)
 	}
 }
 
@@ -172,44 +164,44 @@ func TestRelaxBudgetScalesAndRestores(t *testing.T) {
 	}
 
 	// Disabled rung: multiplier <= 1.
-	e.SetFaultBudget(FaultBudget{Ops: 100})
+	e.SetFaultBudget(100)
 	if _, ok := e.RelaxBudget(); ok {
 		t.Fatal("RelaxBudget armed with RetryMultiplier unset")
 	}
 	// Nothing to relax: no bound armed.
-	e.SetFaultBudget(FaultBudget{})
+	e.SetFaultBudget(0)
 	e.SetRecovery(Recovery{RetryMultiplier: 8})
 	if _, ok := e.RelaxBudget(); ok {
 		t.Fatal("RelaxBudget armed with no bound to relax")
 	}
 
-	e.SetFaultBudget(FaultBudget{Ops: 100, Wall: time.Second})
+	e.SetFaultBudget(100)
 	e.SetRecovery(Recovery{NodeLimit: 1000, RetryMultiplier: 8})
 	restore, ok := e.RelaxBudget()
 	if !ok {
 		t.Fatal("RelaxBudget refused to arm")
 	}
-	if got := e.FaultBudget(); got.Ops != 800 || got.Wall != 8*time.Second {
-		t.Fatalf("relaxed budget = %+v, want 8x", got)
+	if got := e.FaultBudget(); got != 800 {
+		t.Fatalf("relaxed budget = %d, want 8x", got)
 	}
 	if got := e.Recovery().NodeLimit; got != 8000 {
 		t.Fatalf("relaxed node limit = %d, want 8000", got)
 	}
 	restore()
-	if got := e.FaultBudget(); got != (FaultBudget{Ops: 100, Wall: time.Second}) {
-		t.Fatalf("restore left budget %+v", got)
+	if got := e.FaultBudget(); got != 100 {
+		t.Fatalf("restore left budget %d", got)
 	}
 	if got := e.Recovery().NodeLimit; got != 1000 {
 		t.Fatalf("restore left node limit %d", got)
 	}
 
 	// Saturation: a huge bound times a huge multiplier must not overflow.
-	e.SetFaultBudget(FaultBudget{Ops: 1 << 61})
+	e.SetFaultBudget(1 << 61)
 	e.SetRecovery(Recovery{RetryMultiplier: 1e9})
 	if _, ok := e.RelaxBudget(); !ok {
 		t.Fatal("RelaxBudget refused a saturating arm")
 	}
-	if got := e.FaultBudget().Ops; got != 1<<62 {
+	if got := e.FaultBudget(); got != 1<<62 {
 		t.Fatalf("saturated ops = %d, want 1<<62", got)
 	}
 }
@@ -226,7 +218,7 @@ func TestRetryRungRescuesBlownFault(t *testing.T) {
 	// An ops budget too small for any real propagation, and a retry
 	// multiplier large enough that the relaxed attempt is effectively
 	// unbounded: the ladder must convert the abort into the exact result.
-	e.SetFaultBudget(FaultBudget{Ops: 10})
+	e.SetFaultBudget(10)
 	e.SetRecovery(Recovery{RetryMultiplier: 1e12})
 	if _, aborted := analyzeBudgeted(t, e, fs[0]); !aborted {
 		t.Fatal("Ops=10 budget did not abort the analysis")
@@ -255,7 +247,7 @@ func TestShareCopiesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Recovery{NodeLimit: 1 << 20, SiftPasses: 3, RetryMultiplier: 4}
+	r := Recovery{NodeLimit: 1 << 20, RetryMultiplier: 4}
 	e.SetRecovery(r)
 	if got := e.Share().Recovery(); got != r {
 		t.Fatalf("view recovery = %+v, want %+v", got, r)

@@ -160,14 +160,14 @@ func TestWorklistBudgetAbortMatchesFullScan(t *testing.T) {
 		want.PerPO, want.Complete = nil, bdd.False // refs are engine-local
 
 		wl, fsv := pair(t, c)
-		budget := FaultBudget{Ops: cost / 2}
+		budget := cost / 2
 		wl.SetFaultBudget(budget)
 		fsv.SetFaultBudget(budget)
 		if _, abort := analyzeAborting(t, wl, f); !errors.Is(abort, bdd.ErrBudget) {
-			t.Fatalf("%v: worklist did not abort at ops=%d (abort=%v)", f.Describe(c), budget.Ops, abort)
+			t.Fatalf("%v: worklist did not abort at ops=%d (abort=%v)", f.Describe(c), budget, abort)
 		}
 		if _, abort := analyzeAborting(t, fsv, f); !errors.Is(abort, bdd.ErrBudget) {
-			t.Fatalf("%v: full scan did not abort at ops=%d (abort=%v)", f.Describe(c), budget.Ops, abort)
+			t.Fatalf("%v: full scan did not abort at ops=%d (abort=%v)", f.Describe(c), budget, abort)
 		}
 		if a, b := wl.LastAbortOps(), fsv.LastAbortOps(); a != b {
 			t.Fatalf("%v: worklist aborted at %d ops, full scan at %d", f.Describe(c), a, b)

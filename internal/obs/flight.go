@@ -1,6 +1,6 @@
 // Flight recorder: a fixed-size ring buffer of structured campaign
 // events — worker claims and drains, fault outcomes with op counts,
-// GC/sift passes, governor park/unpark transitions, calibration bumps,
+// GC passes, governor park/unpark transitions, calibration bumps,
 // chaos injections, checkpoint I/O and budget blows — retained in memory
 // for the whole run and dumped as JSON on panic, checkpoint poisoning,
 // second SIGINT, or normal completion. The ring stores compact value
@@ -41,8 +41,6 @@ const (
 	// FlightGC records a generational GC pass (a = nodes reclaimed,
 	// b = live nodes after).
 	FlightGC
-	// FlightSift records a GC pass that also sifted (same payload).
-	FlightSift
 	// FlightPark records the governor parking a worker (a = parked
 	// count after, b = heap bytes at the decision).
 	FlightPark
@@ -98,7 +96,6 @@ var flightKindNames = [flightKindCount]string{
 	FlightFaultDone:        "fault",
 	FlightBudgetBlow:       "budget_blow",
 	FlightGC:               "gc",
-	FlightSift:             "sift",
 	FlightPark:             "park",
 	FlightUnpark:           "unpark",
 	FlightCalibration:      "calibration",

@@ -98,8 +98,8 @@ type Histogram struct {
 }
 
 // DefaultLatencyBuckets spans 100µs to 60s exponentially — wide enough to
-// cover both trivial shallow faults and deep-circuit analyses that are
-// about to blow a wall-clock budget.
+// cover both trivial shallow faults and deep-circuit analyses that take
+// seconds.
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,

@@ -175,7 +175,7 @@ type CampaignMetrics struct {
 	BDDRebuilds *Counter
 	// bdd_table_views / bdd_table_epoch: shared-backend shape — manager
 	// views attached to the campaign's node table, and the table's
-	// in-place adoption generation (GC/sift count visible to all views).
+	// in-place adoption generation (GC count visible to all views).
 	BDDTableViews, BDDTableEpoch *Gauge
 	// bdd_cache_hits_total / bdd_cache_misses_total: operation caches,
 	// folded in once at campaign finish.
@@ -196,9 +196,9 @@ type CampaignMetrics struct {
 	FaultsRescued *Counter
 	// recovery_retries_total: relaxed-budget re-attempts the ladder made.
 	RecoveryRetries *Counter
-	// recovery_nodes_reclaimed_total / recovery_sift_runs_total: work done
-	// by the GC and sift rungs across all engines.
-	RecoveryNodesReclaimed, RecoverySiftRuns *Counter
+	// recovery_nodes_reclaimed_total: dead nodes dropped by GC passes
+	// across all engines.
+	RecoveryNodesReclaimed *Counter
 	// governor_parked_workers / governor_heap_bytes: memory-governor state.
 	GovernorParked, GovernorHeapBytes *Gauge
 	// governor_park_events_total: worker park transitions under pressure.
@@ -257,7 +257,7 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		BDDPeakNodes:      r.Gauge("bdd_peak_nodes", "Largest BDD node table any single engine reached."),
 		BDDRebuilds:       r.Counter("bdd_rebuilds_total", "Generational BDD-manager GC passes over all engines."),
 		BDDTableViews:     r.Gauge("bdd_table_views", "Manager views sharing the campaign's BDD node table (one per worker)."),
-		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the shared node table (bumps on GC/sift)."),
+		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the shared node table (bumps on GC)."),
 		CacheHits:         r.Counter("bdd_cache_hits_total", "BDD apply/ite/not operation-cache hits."),
 		CacheMisses:       r.Counter("bdd_cache_misses_total", "BDD apply/ite/not operation-cache misses."),
 		CacheHitsLive:     r.Gauge("bdd_cache_hits_live", "Operation-cache hits accumulated live during the run (timeline source)."),
@@ -269,7 +269,6 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		FaultsRescued:          r.Counter("campaign_faults_rescued_total", "Faults whose relaxed-budget retry completed exactly (sub-count of exact)."),
 		RecoveryRetries:        r.Counter("recovery_retries_total", "Relaxed-budget re-attempts made by the recovery ladder."),
 		RecoveryNodesReclaimed: r.Counter("recovery_nodes_reclaimed_total", "Dead BDD nodes dropped by generational GC passes."),
-		RecoverySiftRuns:       r.Counter("recovery_sift_runs_total", "Variable-reordering runs fired by the recovery ladder."),
 		GovernorParked:         r.Gauge("governor_parked_workers", "Workers currently parked by the memory governor."),
 		GovernorHeapBytes:      r.Gauge("governor_heap_bytes", "Heap size at the governor's last sample."),
 		GovernorParkEvents:     r.Counter("governor_park_events_total", "Worker park transitions under heap pressure."),

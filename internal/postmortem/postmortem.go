@@ -116,7 +116,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 		parks       int
 		unparks     int
 		gcPasses    int
-		siftPasses  int
 		gcReclaimed int64
 		calibs      int
 		appends     int
@@ -165,9 +164,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 				unparks++
 			case "gc":
 				gcPasses++
-				gcReclaimed += ev.A
-			case "sift":
-				siftPasses++
 				gcReclaimed += ev.A
 			case "calibration":
 				calibs++
@@ -381,9 +377,8 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 			fmt.Fprintf(&b, "- ladder effectiveness: %.0f%% of blown faults recovered exactly\n",
 				100*float64(rescued)/float64(blows1))
 		}
-		if gcPasses+siftPasses > 0 {
-			fmt.Fprintf(&b, "- GC passes: %d (plus %d with sifting), %d nodes reclaimed\n",
-				gcPasses, siftPasses, gcReclaimed)
+		if gcPasses > 0 {
+			fmt.Fprintf(&b, "- GC passes: %d, %d nodes reclaimed\n", gcPasses, gcReclaimed)
 		}
 		if calibs > 0 {
 			fmt.Fprintf(&b, "- calibration generations published: %d\n", calibs)
