@@ -11,7 +11,7 @@
 //	diffprop -circuit c17 -summary            # aggregates only
 //	diffprop -circuit c1355s -budget 2000000               # degrade hard faults
 //	diffprop -circuit c1908s -budget 200000 -retrybudget 16  # rescue blown faults
-//	diffprop -circuit c1908s -nodelimit 500000 -memlimit 2GiB        # bound memory, park workers
+//	GOMEMLIMIT=2GiB diffprop -circuit c1908s -nodelimit 500000      # bound memory
 //	diffprop -circuit c1355s -checkpoint run.jsonl         # persist records
 //	diffprop -circuit c1355s -checkpoint run.jsonl -resume # continue after a crash
 //	diffprop -circuit c1355s -checkpoint run.jsonl -resume -retry-degraded  # re-attempt degraded faults
@@ -99,10 +99,7 @@ func main() {
 	if cf.Shards > 0 && *resume {
 		fmt.Fprintln(os.Stderr, "diffprop: note: -resume is implicit under -shards (per-shard checkpoints in -shard-dir resume automatically)")
 	}
-	ccfg, err := cf.Campaign()
-	if err != nil {
-		fatal(err)
-	}
+	ccfg := cf.Campaign()
 	chaosCfg, err := chaos.Parse(*chaosSpec)
 	if err != nil {
 		fatal(fmt.Errorf("-chaos: %w", err))

@@ -66,11 +66,7 @@ func main() {
 	if *circuits != "" {
 		cfg.Circuits = strings.Split(*circuits, ",")
 	}
-	campaign, err := cf.Campaign()
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Campaign = campaign
+	cfg.Campaign = cf.Campaign()
 	var cleanupShards = func() {}
 	if cf.Shards > 0 {
 		if cf.WorkerBinary == "" {

@@ -275,37 +275,6 @@ func (in *campaignInstr) calibrationUpdate(budgetOps int64, retryMult float64, s
 		"budget_ops", budgetOps, "retry_multiplier", retryMult, "samples", samples)
 }
 
-// governorParked records one worker parking under heap pressure (called
-// with the governor's lock held; nil-safe).
-func (in *campaignInstr) governorParked(w, parked int, heap int64) {
-	if in == nil {
-		return
-	}
-	in.cm.GovernorParkEvents.Inc()
-	in.cm.GovernorParked.Set(int64(parked))
-	in.flight.Record(obs.FlightPark, obs.FlightLabelNone, w, -1, int64(parked), heap)
-	in.log.Info("memory governor parked worker",
-		"worker", w, "parked", parked, "heap_bytes", heap)
-}
-
-// governorUnparked records one worker resuming after pressure receded.
-func (in *campaignInstr) governorUnparked(w, parked int) {
-	if in == nil {
-		return
-	}
-	in.cm.GovernorParked.Set(int64(parked))
-	in.flight.Record(obs.FlightUnpark, obs.FlightLabelNone, w, -1, int64(parked), 0)
-	in.log.Info("memory governor resumed worker", "worker", w, "parked", parked)
-}
-
-// governorHeap publishes the governor's latest heap sample.
-func (in *campaignInstr) governorHeap(heap int64) {
-	if in == nil {
-		return
-	}
-	in.cm.GovernorHeapBytes.Set(heap)
-}
-
 // finish seals the heartbeat and folds the campaign totals into the
 // registry-level metrics.
 func (in *campaignInstr) finish(stats CampaignStats) {
@@ -338,7 +307,6 @@ func (in *campaignInstr) finish(stats CampaignStats) {
 		"elapsed", stats.Elapsed, "gate_evals", stats.GateEvaluations,
 		"rebuilds", stats.Rebuilds, "nodes_reclaimed", stats.NodesReclaimed,
 		"peak_nodes", stats.PeakNodes,
-		"mem_park_events", stats.MemParkEvents,
 		"chaos_injected", stats.ChaosInjected,
 		"calibration_updates", stats.CalibrationUpdates,
 		"cache_hit_rate", stats.Cache.HitRate())

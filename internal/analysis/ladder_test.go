@@ -179,13 +179,13 @@ func TestLadderRescueBridging(t *testing.T) {
 	}
 }
 
-// TestOrderPoliciesUnderBudgetLadder pins bit-identity when the recovery
+// TestLadderDegradationIndependentOfWorkers pins bit-identity when the recovery
 // ladder is live: a one-op budget blows almost every fault on first
 // attempt and again on the 2x retry, degrading it to the deterministic
 // simulation estimate. The resulting mix of exact and approximate records
 // must not depend on the worker count, and so on the order in which the
 // workers happen to reach the faults.
-func TestOrderPoliciesUnderBudgetLadder(t *testing.T) {
+func TestLadderDegradationIndependentOfWorkers(t *testing.T) {
 	c := circuits.MustGet("c95s")
 	fs := faults.CheckpointStuckAts(c.Decompose2())
 	var want StuckAtStudy

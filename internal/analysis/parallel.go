@@ -70,17 +70,6 @@ type CampaignConfig struct {
 	// watermark and one relaxed-budget retry (see diffprop.Recovery). The
 	// zero value keeps the historical degrade-immediately behavior.
 	Recovery diffprop.Recovery
-	// MemLimit is the campaign memory governor's heap ceiling in bytes.
-	// Zero adopts GOMEMLIMIT when one is set (debug.SetMemoryLimit);
-	// negative — or zero without GOMEMLIMIT — disables the governor. Near
-	// the ceiling the governor parks workers (all but one) until the heap
-	// recedes, trading throughput for not OOMing.
-	MemLimit int64
-	// MemPoll is the governor's heap sampling period (zero selects a
-	// default).
-	MemPoll time.Duration
-	// memSample overrides the governor's heap sampler in tests.
-	memSample func() int64
 	// FallbackVectors and FallbackSeed parameterize the degradation
 	// estimate (zero selects DefaultFallbackVectors / DefaultFallbackSeed).
 	// The estimate is a pure function of (circuit, vectors, seed, fault),
@@ -102,9 +91,9 @@ type CampaignConfig struct {
 	Obs *obs.Observer
 	// Chaos, when non-nil, activates the deterministic fault-injection
 	// harness: forced budget/node-limit aborts, worker panics, checkpoint
-	// write/fsync failures, per-fault latency and governor memory-sampler
-	// lies, selected by seeded per-point rules (see chaos.Config). Nil —
-	// the default — compiles to literal no-ops on the per-fault hot path.
+	// write/fsync failures and per-fault latency, selected by seeded
+	// per-point rules (see chaos.Config). Nil — the default — compiles to
+	// literal no-ops on the per-fault hot path.
 	Chaos *chaos.Config
 	// Calibrate configures budget self-calibration: the per-fault op
 	// budget and the ladder's retry multiplier are learned from the
@@ -176,10 +165,6 @@ type CampaignStats struct {
 	// SharedUnits counts the units whose faults — both stuck-at polarities
 	// of one primary input — were all answered by one shared propagation.
 	SharedUnits int
-	// MemParkEvents counts worker park transitions under heap pressure and
-	// MaxParked the most workers simultaneously parked.
-	MemParkEvents int
-	MaxParked     int
 	// ChaosInjected counts chaos-harness injections that fired during the
 	// run (0 without a chaos config).
 	ChaosInjected int64
@@ -215,9 +200,6 @@ func (s CampaignStats) String() string {
 	}
 	if s.Errored > 0 {
 		out += fmt.Sprintf(" errored=%d", s.Errored)
-	}
-	if s.MemParkEvents > 0 {
-		out += fmt.Sprintf(" mem-parks=%d max-parked=%d", s.MemParkEvents, s.MaxParked)
 	}
 	if s.ChaosInjected > 0 {
 		out += fmt.Sprintf(" chaos-injected=%d", s.ChaosInjected)
@@ -325,21 +307,16 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // indices untouched. A persistence error likewise stops the campaign; the
 // first one is returned.
 //
-// inj (nil = chaos off) feeds the governor's sampler lies and the final
-// injection count; the per-fault injections themselves ride in through
-// the analyze closure. cal (nil = calibration off) is consulted by each
-// worker between faults: one atomic generation load on the hot path, a
-// re-arm of the worker's own engine when the calibrator published new
-// bounds — never touching an engine whose fault is in flight.
+// inj (nil = chaos off) supplies the final injection count; the
+// per-fault injections themselves ride in through the analyze closure.
+// cal (nil = calibration off) is consulted by each worker between faults:
+// one atomic generation load on the hot path, a re-arm of the worker's own
+// engine when the calibrator published new bounds — never touching an
+// engine whose fault is in flight.
 func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip []bool, units *siteUnits, instr *campaignInstr, inj *chaos.Injector, cal *calibrator, analyze func(e *diffprop.Engine, w, i int) (faultOutcome, error)) (CampaignStats, error) {
 	start := time.Now()
 	ctx := cfg.ctx()
 	instr.setup(engines)
-	if inj.Has(chaos.PointMemSample) {
-		cfg.memSample = chaosMemSample(inj, cfg.memSample)
-	}
-	gov := newGovernor(cfg, len(engines), instr)
-	defer gov.stop()
 	var (
 		next   atomic.Int64
 		stop   atomic.Bool
@@ -400,10 +377,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 		go func(w int, e *diffprop.Engine) {
 			defer wg.Done()
 			defer instr.workerDrain(w)
-			// A worker only returns when the fault set is drained or the
-			// campaign is halting; either way any workers the governor still
-			// holds parked must be woken so the campaign can finish.
-			defer gov.release()
 			instr.workerStart(w)
 			var calGen uint64
 			var idx []int // the faults of the unit in hand
@@ -411,7 +384,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 				if halted() {
 					return
 				}
-				gov.admit(w, e, halted)
 				lo := int(next.Load())
 				if lo >= total {
 					return
@@ -478,8 +450,8 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 							t0 = instr.faultStart()
 						}
 						// Shared engines analyze under the table's read lock
-						// so recovery ladders and governor GCs on sibling
-						// views cannot re-root the good functions mid-fault.
+						// so recovery ladders on sibling views cannot re-root
+						// the good functions mid-fault.
 						// Unshared engines get a no-op unlock.
 						unlock := e.AnalysisLock()
 						outcome, err := analyze(e, w, i)
@@ -495,7 +467,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 		}(w, e)
 	}
 	wg.Wait()
-	gov.stop()
 	stats := CampaignStats{
 		Workers:  len(engines),
 		Faults:   analyzed,
@@ -508,7 +479,6 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 		Rescued:  rescued,
 	}
 	stats.SharedUnits = int(shared.Load())
-	stats.MemParkEvents, stats.MaxParked = gov.counters()
 	stats.ChaosInjected = inj.Injected()
 	stats.CalibrationBudgetOps, stats.CalibrationRetryMult, stats.CalibrationUpdates = cal.snapshot()
 	for _, e := range engines {
@@ -541,21 +511,6 @@ func newCampaignInjector(cfg CampaignConfig, instr *campaignInstr) *chaos.Inject
 		cfg.Checkpoint.SetChaos(inj)
 	}
 	return inj
-}
-
-// chaosMemSample wraps the governor's heap sampler with the injector's
-// memsample rules: a firing sample reports the rule's fake heap value,
-// all others delegate to the real sampler.
-func chaosMemSample(inj *chaos.Injector, next func() int64) func() int64 {
-	if next == nil {
-		next = heapSample
-	}
-	return func() int64 {
-		if heap, ok := inj.MemSample(); ok {
-			return heap
-		}
-		return next()
-	}
 }
 
 // resumeDecode restores checkpointed records into their slots and returns

@@ -1,11 +1,11 @@
 // Package campaignflags declares the campaign flags cmd/diffprop and
 // cmd/figures share: parallelism, the per-fault budget and recovery
-// ladder, the heap governor, calibration, observability and process
-// supervision. It parses them into an analysis.CampaignConfig, builds
-// the observer they select, and renders a campaign configuration back
-// into the diffprop command line that parses to it — the one renderer
-// behind every diffprop subprocess, so a supervised worker runs exactly
-// the campaign its parent parsed.
+// ladder, calibration, observability and process supervision. It parses
+// them into an analysis.CampaignConfig, builds the observer they select,
+// and renders a campaign configuration back into the diffprop command
+// line that parses to it — the one renderer behind every diffprop
+// subprocess, so a supervised worker runs exactly the campaign its parent
+// parsed.
 package campaignflags
 
 import (
@@ -41,7 +41,6 @@ type Flags struct {
 	budget    int64
 	nodeLimit int
 	retryMult float64
-	memLimit  string
 	calibrate bool
 
 	httpAddr   string
@@ -59,7 +58,6 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.Int64Var(&f.budget, "budget", 0, "per-fault BDD operation budget (0 = unlimited); blown faults degrade to simulation estimates")
 	fs.IntVar(&f.nodeLimit, "nodelimit", 0, "per-fault BDD node-count watermark (0 = unlimited); a tripped analysis enters the recovery ladder")
 	fs.Float64Var(&f.retryMult, "retrybudget", 0, "retry a blown fault once under its budget and node watermark scaled by this multiplier before degrading (<=1 disables)")
-	fs.StringVar(&f.memLimit, "memlimit", "", "campaign heap ceiling, e.g. 2GiB: park workers near it instead of OOMing (empty = GOMEMLIMIT if set; off = never)")
 	fs.BoolVar(&f.calibrate, "calibrate", false, "self-calibrate each campaign's per-fault budget and retry ladder from the circuit's measured op-cost distribution (replaces hand-tuned -budget/-retrybudget)")
 	fs.StringVar(&f.httpAddr, "http", "", "serve the debug endpoints (/metrics, /progress, /debug/pprof) on this address, e.g. :6060")
 	fs.StringVar(&f.LogLevel, "log", "", "structured logging level on stderr: debug, info, warn, error (empty = off)")
@@ -74,12 +72,8 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 }
 
 // Campaign returns the campaign settings the flags select: Workers,
-// FaultOps, Recovery, MemLimit and Calibrate.
-func (f *Flags) Campaign() (analysis.CampaignConfig, error) {
-	mem, err := analysis.ParseMemLimit(f.memLimit)
-	if err != nil {
-		return analysis.CampaignConfig{}, fmt.Errorf("-memlimit: %w", err)
-	}
+// FaultOps, Recovery and Calibrate.
+func (f *Flags) Campaign() analysis.CampaignConfig {
 	return analysis.CampaignConfig{
 		Workers:  f.workers,
 		FaultOps: f.budget,
@@ -87,9 +81,8 @@ func (f *Flags) Campaign() (analysis.CampaignConfig, error) {
 			NodeLimit:       f.nodeLimit,
 			RetryMultiplier: f.retryMult,
 		},
-		MemLimit:  mem,
 		Calibrate: analysis.Calibration{Enabled: f.calibrate},
-	}, nil
+	}
 }
 
 // Args renders the flag-settable fields of cfg (those Campaign fills) as
@@ -105,12 +98,6 @@ func Args(cfg analysis.CampaignConfig) []string {
 	}
 	if cfg.Recovery.RetryMultiplier != 0 {
 		args = append(args, "-retrybudget", strconv.FormatFloat(cfg.Recovery.RetryMultiplier, 'g', -1, 64))
-	}
-	switch {
-	case cfg.MemLimit > 0:
-		args = append(args, "-memlimit", strconv.FormatInt(cfg.MemLimit, 10)+"B")
-	case cfg.MemLimit < 0:
-		args = append(args, "-memlimit", "off")
 	}
 	if cfg.Calibrate.Enabled {
 		args = append(args, "-calibrate")

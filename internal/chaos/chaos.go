@@ -5,11 +5,11 @@
 // fault records, rescued records bit-identical to clean runs, checkpoint
 // resume bit-identical after a crash — but in normal operation the paths
 // that uphold them (budget aborts, the recovery ladder, panic isolation,
-// torn-tail truncation, the memory governor) only fire when a circuit
-// happens to blow up. This package lets tests and CI force those paths on
-// demand, reproducibly: every injection decision is a pure function of a
-// user-chosen seed and the injection site, so a failing storm can be
-// replayed from its seed alone.
+// torn-tail truncation) only fire when a circuit happens to blow up. This
+// package lets tests and CI force those paths on demand, reproducibly:
+// every injection decision is a pure function of a user-chosen seed and
+// the injection site, so a failing storm can be replayed from its seed
+// alone.
 //
 // A Config names which injection points fire and how (scripted indices or
 // a seeded per-index probability); New compiles it into an Injector that
@@ -23,9 +23,9 @@
 // decided by hashing (seed, point, fault index) — the decision is
 // independent of worker count, scheduling and time, so the same seed
 // injects at the same faults in every run. Sequence-keyed points
-// (ckptwrite, ckptsync, memsample) are keyed by an atomic per-point
-// evaluation counter; WHICH append or heap sample a probabilistic rule
-// hits depends on goroutine interleaving, so scripted Indices (or
+// (ckptwrite, ckptsync, hbstall) are keyed by an atomic per-point
+// evaluation counter; WHICH append or tick a probabilistic rule hits
+// depends on goroutine interleaving, so scripted Indices (or
 // Count-capped always-fire rules) are the reproducible way to use them.
 package chaos
 
@@ -64,9 +64,10 @@ const (
 	PointCheckpointWrite
 	// PointCheckpointSync fails a checkpoint fsync.
 	PointCheckpointSync
-	// PointMemSample makes the memory governor's heap sampler lie,
-	// reporting Rule.MemBytes instead of the real heap occupancy.
-	PointMemSample
+	// A retired point (memsample, which faked heap samples) keeps its
+	// slot: hash01 mixes in each point's value, so renumbering would
+	// change which keys a seeded spec fires on.
+	_
 	// PointWorkerKill SIGKILLs the worker process the moment the selected
 	// fault's analysis arrives — the supervision harness's storm point. A
 	// SIGKILL cannot be caught, so this is a true abrupt death: no defers,
@@ -99,7 +100,6 @@ var pointNames = [numPoints]string{
 	PointLatency:         "latency",
 	PointCheckpointWrite: "ckptwrite",
 	PointCheckpointSync:  "ckptsync",
-	PointMemSample:       "memsample",
 	PointWorkerKill:      "workerkill",
 	PointHeartbeatStall:  "hbstall",
 	PointShardTear:       "shardtear",
@@ -123,7 +123,7 @@ func (p Point) String() string {
 // PointByName resolves a spec-grammar name to its Point.
 func PointByName(name string) (Point, bool) {
 	for p, n := range pointNames {
-		if n == name {
+		if n != "" && n == name {
 			return Point(p), true
 		}
 	}
@@ -171,8 +171,6 @@ type Rule struct {
 	// failure lets through: 0 fails before writing (clean ENOSPC), a
 	// positive value leaves a torn line of that many bytes.
 	Bytes int
-	// MemBytes is the fake heap occupancy reported by PointMemSample.
-	MemBytes int64
 	// Repeat lets a process-level point (workerkill, hbstall, shardtear)
 	// fire on every worker restart attempt instead of only the first —
 	// the poison-fault scenario. Ignored by every other point.
@@ -470,18 +468,6 @@ func (in *Injector) CheckpointSync() error {
 		return ErrDiskFull
 	}
 	return nil
-}
-
-// MemSample returns a lying heap sample for the governor when the
-// memsample point fires for the next sample in sequence.
-func (in *Injector) MemSample() (heap int64, ok bool) {
-	if in == nil {
-		return 0, false
-	}
-	if r := in.fires(PointMemSample, in.next(PointMemSample)); r != nil {
-		return r.MemBytes, true
-	}
-	return 0, false
 }
 
 // hash01 maps (seed, point, key) to a uniform float64 in [0, 1) via a

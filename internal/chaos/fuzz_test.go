@@ -17,11 +17,11 @@ func FuzzParse(f *testing.F) {
 		"seed=7;budget:p=0.35;latency:p=0.2,d=2ms",
 		"budget:i=3+17+42,at=5,count=2",
 		"ckptwrite:i=5,bytes=10;ckptsync:p=0.01",
-		"memsample:count=3,mem=1073741824",
 		"seed=-9223372036854775808;panic:p=1",
 		"workerkill:i=7,rep=1;hbstall:i=2;shardtear:p=0.1,bytes=20",
 		"seed=3;workerkill:p=0.5,rep=0",
 		"bogus:p=0.5",
+		"memsample:count=3,mem=1073741824",
 		"budget:p=2",
 		"budget:p=0.5,i=1",
 		"latency:d=-1s",

@@ -7,11 +7,10 @@
 //	seed=7;budget:p=0.35;latency:p=0.2,d=2ms;ckptwrite:i=5,bytes=10
 //
 // Points: budget, nodelimit, panic, latency, ckptwrite, ckptsync,
-// memsample, workerkill, hbstall, shardtear. Keys: p (probability), i
-// (indices, '+'-separated), at (charged-op threshold for
-// budget/nodelimit), count (max firings), d (latency duration), bytes
-// (torn-write prefix length), mem (fake heap sample in bytes), rep=1
-// (re-arm a process-level point on every worker restart — the
+// workerkill, hbstall, shardtear. Keys: p (probability), i (indices,
+// '+'-separated), at (charged-op threshold for budget/nodelimit), count
+// (max firings), d (latency duration), bytes (torn-write prefix length),
+// rep=1 (re-arm a process-level point on every worker restart — the
 // poison-fault scenario).
 package chaos
 
@@ -46,7 +45,7 @@ func Parse(spec string) (*Config, error) {
 		name, args, _ := strings.Cut(seg, ":")
 		p, ok := PointByName(strings.TrimSpace(name))
 		if !ok {
-			return nil, fmt.Errorf("chaos: segment %d: unknown injection point %q (want budget, nodelimit, panic, latency, ckptwrite, ckptsync, memsample, workerkill, hbstall or shardtear)", segNo+1, name)
+			return nil, fmt.Errorf("chaos: segment %d: unknown injection point %q (want budget, nodelimit, panic, latency, ckptwrite, ckptsync, workerkill, hbstall or shardtear)", segNo+1, name)
 		}
 		r := Rule{Point: p}
 		if strings.TrimSpace(args) != "" {
@@ -109,12 +108,6 @@ func (r *Rule) set(k, v string) error {
 			return fmt.Errorf("bad bytes=%q (want >= 0)", v)
 		}
 		r.Bytes = n
-	case "mem":
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad mem=%q (want a byte count)", v)
-		}
-		r.MemBytes = n
 	case "rep":
 		b, err := strconv.ParseBool(v)
 		if err != nil {
@@ -122,7 +115,7 @@ func (r *Rule) set(k, v string) error {
 		}
 		r.Repeat = b
 	default:
-		return fmt.Errorf("unknown key %q (want p, i, at, count, d, bytes, mem or rep)", k)
+		return fmt.Errorf("unknown key %q (want p, i, at, count, d, bytes or rep)", k)
 	}
 	return nil
 }

@@ -620,8 +620,7 @@ func (e *Engine) maybeCompact() {
 // compact garbage-collects the manager in place around the good functions.
 // The manager keeps its identity, so cumulative cache statistics and the
 // node high-water mark survive without engine-side accumulators. Shared by
-// maybeCompact (node-table growth), Recover (the ladder's GC rung) and
-// GCNow (the campaign memory governor).
+// maybeCompact (node-table growth) and Recover (the ladder's GC rung).
 func (e *Engine) compact(cause string) {
 	before := e.m.NodeCount()
 	if before > e.peakNodes {
@@ -635,23 +634,6 @@ func (e *Engine) compact(cause string) {
 		e.log.Debug("bdd rebuild", "cause", cause, "nodes_before", before,
 			"nodes_after", e.m.NodeCount(), "rebuilds", e.rebuilds)
 	}
-}
-
-// GCNow immediately garbage-collects the manager around the good
-// functions, dropping per-fault garbage between analyses. The campaign
-// memory governor calls it when parking a worker under heap pressure; any
-// caller may use it to return an idle engine to its minimal footprint.
-// Results of previous queries are invalidated. On a shared engine the
-// collection takes the exclusive lock, waiting for in-flight analyses on
-// other views; callers must not hold AnalysisLock when invoking it.
-func (e *Engine) GCNow() {
-	if sh := e.shared; sh != nil {
-		sh.Lock()
-		e.compact("governor")
-		sh.Unlock()
-		return
-	}
-	e.compact("governor")
 }
 
 // Result is the outcome of one fault analysis: the complete test set and

@@ -61,7 +61,7 @@ func TestPISiteUnitMatchesPerFault(t *testing.T) {
 			// far enough below the rebuild limit that none runs inside the
 			// comparison.
 			if e.Manager().NodeCount() > 1<<20 {
-				e.GCNow()
+				e.Recover()
 			}
 			rebuilds := e.Rebuilds()
 			got := e.StuckAtPI(net, stuck)

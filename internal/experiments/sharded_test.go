@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/diffprop"
 	"repro/internal/faults"
 )
 
@@ -36,7 +37,7 @@ func TestShardedStudiesMatchInProcess(t *testing.T) {
 	// Non-default knobs travel the figures-to-diffprop command line; a
 	// flag the subprocess rejects fails the supervised campaign.
 	base.Campaign = analysis.CampaignConfig{
-		MemLimit:  -1,
+		Recovery:  diffprop.Recovery{NodeLimit: 1 << 20},
 		Calibrate: analysis.Calibration{Enabled: true},
 	}
 

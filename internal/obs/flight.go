@@ -1,8 +1,8 @@
 // Flight recorder: a fixed-size ring buffer of structured campaign
 // events — worker claims and drains, fault outcomes with op counts,
-// GC passes, governor park/unpark transitions, calibration bumps,
-// chaos injections, checkpoint I/O and budget blows — retained in memory
-// for the whole run and dumped as JSON on panic, checkpoint poisoning,
+// GC passes, calibration bumps, chaos injections, checkpoint I/O,
+// budget blows and supervisor events — retained in memory for the whole
+// run and dumped as JSON on panic, checkpoint poisoning,
 // second SIGINT, or normal completion. The ring stores compact value
 // structs (enum kinds, enum labels, two generic int64 payloads); JSON
 // rendering happens only at dump time, so recording stays allocation-free
@@ -41,11 +41,6 @@ const (
 	// FlightGC records a generational GC pass (a = nodes reclaimed,
 	// b = live nodes after).
 	FlightGC
-	// FlightPark records the governor parking a worker (a = parked
-	// count after, b = heap bytes at the decision).
-	FlightPark
-	// FlightUnpark records a governor unpark (a = parked count after).
-	FlightUnpark
 	// FlightCalibration records a calibration publish (a = budget ops,
 	// b = samples in the window).
 	FlightCalibration
@@ -96,8 +91,6 @@ var flightKindNames = [flightKindCount]string{
 	FlightFaultDone:        "fault",
 	FlightBudgetBlow:       "budget_blow",
 	FlightGC:               "gc",
-	FlightPark:             "park",
-	FlightUnpark:           "unpark",
 	FlightCalibration:      "calibration",
 	FlightChaos:            "chaos",
 	FlightCheckpointAppend: "ckpt_append",
@@ -145,7 +138,6 @@ const (
 	FlightLabelLatency
 	FlightLabelCkptWrite
 	FlightLabelCkptSync
-	FlightLabelMemSample
 	FlightLabelAppend
 	FlightLabelFsync
 	FlightLabelOK
@@ -176,7 +168,6 @@ var flightLabelNames = [flightLabelCount]string{
 	FlightLabelLatency:        "latency",
 	FlightLabelCkptWrite:      "ckptwrite",
 	FlightLabelCkptSync:       "ckptsync",
-	FlightLabelMemSample:      "memsample",
 	FlightLabelAppend:         "append",
 	FlightLabelFsync:          "fsync",
 	FlightLabelOK:             "ok",

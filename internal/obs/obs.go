@@ -199,10 +199,6 @@ type CampaignMetrics struct {
 	// recovery_nodes_reclaimed_total: dead nodes dropped by GC passes
 	// across all engines.
 	RecoveryNodesReclaimed *Counter
-	// governor_parked_workers / governor_heap_bytes: memory-governor state.
-	GovernorParked, GovernorHeapBytes *Gauge
-	// governor_park_events_total: worker park transitions under pressure.
-	GovernorParkEvents *Counter
 	// chaos_injected_total: failures fired by the chaos-injection harness
 	// (0 outside chaos runs).
 	ChaosInjected *Counter
@@ -269,9 +265,6 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		FaultsRescued:          r.Counter("campaign_faults_rescued_total", "Faults whose relaxed-budget retry completed exactly (sub-count of exact)."),
 		RecoveryRetries:        r.Counter("recovery_retries_total", "Relaxed-budget re-attempts made by the recovery ladder."),
 		RecoveryNodesReclaimed: r.Counter("recovery_nodes_reclaimed_total", "Dead BDD nodes dropped by generational GC passes."),
-		GovernorParked:         r.Gauge("governor_parked_workers", "Workers currently parked by the memory governor."),
-		GovernorHeapBytes:      r.Gauge("governor_heap_bytes", "Heap size at the governor's last sample."),
-		GovernorParkEvents:     r.Counter("governor_park_events_total", "Worker park transitions under heap pressure."),
 		ChaosInjected:          r.Counter("chaos_injected_total", "Failures fired by the chaos-injection harness."),
 		CalibrationBudgetOps:   r.Gauge("calibration_budget_ops", "Per-fault op budget currently armed by budget self-calibration."),
 		CalibrationUpdates:     r.Counter("calibration_updates_total", "Budget re-derivations published by the calibrator."),

@@ -1,7 +1,7 @@
 // Timeline: a periodic bounded-ring snapshotter of the system's vital
 // signs — heap size, live BDD nodes, unique-table occupancy, op-cache hit
-// ratio, fault throughput, parked workers, calibration budget — served at
-// /timeline and embedded in flight dumps. One background goroutine
+// ratio, fault throughput, calibration budget — served at /timeline and
+// embedded in flight dumps. One background goroutine
 // samples the campaign gauges on a fixed period; the ring keeps the most
 // recent window. All methods are nil-safe.
 package obs
@@ -24,7 +24,6 @@ type TimelineSample struct {
 	CacheHitRatio        float64 `json:"cache_hit_ratio"`
 	FaultsDone           int64   `json:"faults_done"`
 	FaultsPerSec         float64 `json:"faults_per_s"`
-	ParkedWorkers        int64   `json:"parked_workers"`
 	CalibrationBudgetOps int64   `json:"calibration_budget_ops"`
 	// GatesVisited is the cumulative propagation-walk footprint;
 	// ConeSkipRatio the interval-local fraction of gates cone-restricted
@@ -147,7 +146,6 @@ func (t *Timeline) sample() {
 		TUS:                  now.Sub(t.start).Microseconds(),
 		HeapBytes:            int64(ms.HeapAlloc),
 		BDDNodes:             t.cm.BDDNodes.Value(),
-		ParkedWorkers:        t.cm.GovernorParked.Value(),
 		CalibrationBudgetOps: t.cm.CalibrationBudgetOps.Value(),
 		FaultsDone:           t.cm.FaultsDone.Value(),
 	}

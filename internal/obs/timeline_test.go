@@ -13,7 +13,7 @@ func TestTimelineSamplesCampaignGauges(t *testing.T) {
 	cm := o.CampaignMetrics()
 	cm.BDDNodes.Set(5000)
 	cm.BDDTableBuckets.Set(10000)
-	cm.GovernorParked.Set(2)
+	cm.GatesVisited.Add(300)
 	cm.CalibrationBudgetOps.Set(123456)
 	cm.FaultsDone.Add(42)
 	cm.CacheHitsLive.Set(900)
@@ -38,7 +38,7 @@ func TestTimelineSamplesCampaignGauges(t *testing.T) {
 		t.Fatalf("sampler produced %d samples, want >= 3", len(samples))
 	}
 	last := samples[len(samples)-1]
-	if last.BDDNodes != 5000 || last.ParkedWorkers != 2 || last.CalibrationBudgetOps != 123456 || last.FaultsDone != 42 {
+	if last.BDDNodes != 5000 || last.GatesVisited != 300 || last.CalibrationBudgetOps != 123456 || last.FaultsDone != 42 {
 		t.Fatalf("last sample = %+v, gauges not reflected", last)
 	}
 	if last.TableLoad < 0.49 || last.TableLoad > 0.51 {

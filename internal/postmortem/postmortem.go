@@ -55,7 +55,7 @@ type Report struct {
 	// ChaosInjected counts chaos events across all dumps.
 	ChaosInjected int
 	// ChaosUncorrelated counts chaos events that no fault, checkpoint or
-	// governor record accounts for.
+	// supervision record accounts for.
 	ChaosUncorrelated int
 	// EventsDropped sums ring overwrites across dumps; a non-zero value
 	// means counts reconstructed from events are lower bounds.
@@ -75,7 +75,7 @@ type Report struct {
 // chaosCorrelation classifies how each chaos point should echo in the
 // record stream: fault-keyed points resolve through the fault event at
 // the injection's index, I/O points through checkpointer poisoning, and
-// memory-sampling points through governor parks.
+// process-level points through supervision events.
 var chaosFaultKeyed = map[string]bool{
 	"budget": true, "nodelimit": true, "panic": true, "latency": true,
 }
@@ -113,8 +113,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 		perRunIdx   = make([]map[int]bool, len(dumps))
 		blows1      int
 		blows2      int
-		parks       int
-		unparks     int
 		gcPasses    int
 		gcReclaimed int64
 		calibs      int
@@ -158,10 +156,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 				} else {
 					blows1++
 				}
-			case "park":
-				parks++
-			case "unpark":
-				unparks++
 			case "gc":
 				gcPasses++
 				gcReclaimed += ev.A
@@ -496,14 +490,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 						break
 					}
 				}
-			case point == "memsample":
-				if parks > 0 {
-					with = fmt.Sprintf("governor activity (%d parks)", parks)
-				} else {
-					// An inflated heap sample below the ceiling is correctly
-					// ignored by the governor; the injection still landed.
-					with = "governor heap sample (no park required)"
-				}
 			case point == "workerkill":
 				if deathsPerRun[run] > 0 {
 					with = fmt.Sprintf("worker death(s) in run %d", run+1)
@@ -591,11 +577,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 	if drop, first, second, ok := cacheDegradation(dumps); ok && drop > 0.2 {
 		rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
 			"cache-hit degradation: op-cache hit ratio fell from %.2f to %.2f", first, second))
-	}
-	if parks >= 8 {
-		rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
-			"governor thrash: %d park events (%d unparks) — heap ceiling too tight for the workload",
-			parks, unparks))
 	}
 	if rep.EventsDropped > 0 {
 		rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
