@@ -321,9 +321,6 @@ func openCheckpoint(path string, resume, retryDegraded bool, hdr analysis.Checkp
 		if len(records) > 0 {
 			fmt.Fprintf(os.Stderr, "diffprop: resuming %s: %d of %d faults already analyzed\n", path, len(records), hdr.Faults)
 		}
-		ccfg.Obs.Logger().Info("checkpoint resumed",
-			"path", path, "fingerprint", hdr.Fingerprint,
-			"restored", len(records), "retrying", retrying, "faults", hdr.Faults)
 		ccfg.Checkpoint = cp
 		ccfg.Resume = records
 		return cp

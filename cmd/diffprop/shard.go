@@ -157,7 +157,6 @@ func (s *supervisorMode) supervise(ctx context.Context, store supervise.Store, t
 			Launcher:         launcher,
 			HeartbeatTimeout: s.hbTimeout,
 			MaxRestarts:      s.maxRestarts,
-			Log:              s.obs.Logger(),
 			Obs:              s.obs,
 			Progress:         progress,
 		},

@@ -199,7 +199,7 @@ func (cal *calibrator) deriveLocked() {
 	}
 	cal.updates++
 	cal.gen.Add(1)
-	cal.instr.calibrationUpdate(cal.budget, cal.retry, cal.total)
+	cal.instr.calibrationUpdate(cal.budget, cal.total)
 }
 
 // apply adopts the latest published bounds onto a worker's engine, if a

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -160,15 +159,8 @@ type Checkpointer struct {
 	// package, 0 disables periodic fsync — Close still syncs).
 	FsyncEvery int
 
-	// Log, Appends, Fsyncs and Flight are optional observability hooks,
-	// wired by Instrument (or by hand) before the campaign starts. All
-	// nil-safe.
-	Log     *slog.Logger
-	Appends *obs.Counter
-	Fsyncs  *obs.Counter
-	Flight  *obs.FlightRecorder
-
 	mu       sync.Mutex
+	observer *obs.Observer // append, fsync and poisoning events (Instrument); nil = off
 	f        *os.File
 	dir      string // parent directory, fsynced on create and Close
 	appended int
@@ -205,18 +197,12 @@ func (cp *Checkpointer) Err() error {
 	return cp.err
 }
 
-// Instrument wires the checkpointer into an observer: checkpoint I/O
-// counters and a structured logger. Safe to call more than once; a nil
-// observer is a no-op.
+// Instrument sends the checkpointer's append, fsync and poisoning events
+// to o (nil detaches). Wired by the campaign runners before workers start.
 func (cp *Checkpointer) Instrument(o *obs.Observer) {
-	if o == nil {
-		return
-	}
-	cm := o.CampaignMetrics()
-	cp.Appends = cm.CheckpointAppends
-	cp.Fsyncs = cm.CheckpointFsyncs
-	cp.Flight = o.Flight
-	cp.Log = o.Log
+	cp.mu.Lock()
+	cp.observer = o
+	cp.mu.Unlock()
 }
 
 // syncDir fsyncs a directory so the directory entries themselves — a
@@ -310,14 +296,10 @@ func (cp *Checkpointer) Append(index int, record any) error {
 		return cp.poison("append", index, werr)
 	}
 	cp.appended++
-	cp.Appends.Inc()
-	cp.Flight.Record(obs.FlightCheckpointAppend, obs.FlightLabelNone, -1, index, int64(len(buf)), 0)
+	cp.observer.Emit(obs.Event{Kind: obs.FlightCheckpointAppend, Worker: -1, Index: index, A: int64(len(buf))})
 	if cp.FsyncEvery > 0 && cp.appended%cp.FsyncEvery == 0 {
 		if err := cp.sync(); err != nil {
 			return cp.poison("fsync", index, err)
-		}
-		if cp.Log != nil {
-			cp.Log.Debug("checkpoint fsync", "appended", cp.appended)
 		}
 	}
 	return nil
@@ -333,8 +315,7 @@ func (cp *Checkpointer) sync() error {
 	if err := cp.f.Sync(); err != nil {
 		return err
 	}
-	cp.Fsyncs.Inc()
-	cp.Flight.Record(obs.FlightCheckpointFsync, obs.FlightLabelNone, -1, -1, int64(cp.appended), 0)
+	cp.observer.Emit(obs.Event{Kind: obs.FlightCheckpointFsync, Worker: -1, Index: -1, A: int64(cp.appended)})
 	return nil
 }
 
@@ -345,10 +326,7 @@ func (cp *Checkpointer) poison(op string, index int, err error) *CheckpointError
 	if op == "fsync" {
 		label = obs.FlightLabelFsync
 	}
-	cp.Flight.Record(obs.FlightCheckpointError, label, -1, index, 0, 0)
-	if cp.Log != nil {
-		cp.Log.Error("checkpoint poisoned", "op", op, "index", index, "err", err)
-	}
+	cp.observer.Emit(obs.Event{Kind: obs.FlightCheckpointError, Label: label, Worker: -1, Index: index})
 	return cp.err
 }
 

@@ -490,22 +490,15 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 
 // newCampaignInjector builds the chaos injector for one campaign run (nil
 // when cfg.Chaos is unset or rule-less — every injector method is then a
-// nil-receiver no-op) and attaches it to the observability logger, the
-// flight recorder's injection audit trail, and the checkpointer's
-// write/fsync seams.
+// nil-receiver no-op) and attaches it to the campaign's event stream and
+// the checkpointer's write/fsync seams.
 func newCampaignInjector(cfg CampaignConfig, instr *campaignInstr) *chaos.Injector {
 	inj := chaos.New(cfg.Chaos)
 	if inj == nil {
 		return nil
 	}
-	if cfg.Obs != nil {
-		inj.SetLogger(cfg.Obs.Logger())
-	}
-	if instr != nil && instr.flight != nil {
-		fl := instr.flight
-		inj.SetEventHook(func(p chaos.Point, key int) {
-			fl.Record(obs.FlightChaos, obs.FlightLabelByName(p.String()), -1, key, 0, 0)
-		})
+	if instr != nil {
+		inj.SetEventHook(instr.chaosHook())
 	}
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.SetChaos(inj)
@@ -557,9 +550,6 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 		return StuckAtStudy{}, err
 	}
 	fb := newFallback(cfg.FallbackVectors, cfg.FallbackSeed)
-	if cfg.Obs != nil {
-		fb.log = cfg.Obs.Log
-	}
 	instr := newCampaignInstr(cfg, "stuckat "+work.Name, len(fs), func(i int) string {
 		return fs[i].Describe(work)
 	})
@@ -634,9 +624,6 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 		return BridgingStudy{}, err
 	}
 	fb := newFallback(cfg.FallbackVectors, cfg.FallbackSeed)
-	if cfg.Obs != nil {
-		fb.log = cfg.Obs.Log
-	}
 	instr := newCampaignInstr(cfg, "bridging "+work.Name, len(bs), func(i int) string {
 		return bs[i].Describe(work)
 	})

@@ -15,7 +15,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -55,11 +54,8 @@ const (
 type fallback struct {
 	vectors int
 	seed    int64
-	// log, when set before first use, is attached to the estimator inside
-	// once.Do so the write happens before any concurrent estimate.
-	log  *slog.Logger
-	once sync.Once
-	est  *simulate.Estimator
+	once    sync.Once
+	est     *simulate.Estimator
 }
 
 // newFallback applies the package defaults to zero parameters.
@@ -76,10 +72,6 @@ func newFallback(vectors int, seed int64) *fallback {
 func (fb *fallback) get(e *diffprop.Engine) *simulate.Estimator {
 	fb.once.Do(func() {
 		fb.est = simulate.NewEstimator(e.Circuit, fb.vectors, fb.seed)
-		if fb.log != nil {
-			fb.est.SetLogger(fb.log)
-			fb.log.Info("fallback estimator built", "vectors", fb.vectors, "seed", fb.seed)
-		}
 	})
 	return fb.est
 }

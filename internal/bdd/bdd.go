@@ -25,7 +25,6 @@ package bdd
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/big"
 	"sort"
 )
@@ -92,19 +91,24 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.NotMisses += other.NotMisses
 }
 
+// Totals sums the hits and the misses across the apply, ite and not
+// caches.
+func (s CacheStats) Totals() (hits, misses int64) {
+	return s.ApplyHits + s.IteHits + s.NotHits, s.ApplyMisses + s.IteMisses + s.NotMisses
+}
+
 // HitRate returns the overall cache hit fraction (0 when no probes ran).
 func (s CacheStats) HitRate() float64 {
-	hits := s.ApplyHits + s.IteHits + s.NotHits
-	total := hits + s.ApplyMisses + s.IteMisses + s.NotMisses
-	if total == 0 {
+	hits, misses := s.Totals()
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(hits) / float64(hits+misses)
 }
 
 // Manager is a view over a (possibly shared) BDD node table: the armed
 // resource budget, node watermark, cache statistics, sat-count cache and
-// logger are per-view, while nodes, the unique table and the computed
+// GC hook are per-view, while nodes, the unique table and the computed
 // cache live in the shared table. A single view is not safe for
 // concurrent use; distinct views over one table are (Share).
 type Manager struct {
@@ -129,11 +133,8 @@ type Manager struct {
 	chaosAt  int64
 	chaosErr error
 
-	// log receives structured manager events; nil = silent.
-	log *slog.Logger
-
 	// gcHook, when non-nil, observes each completed GC pass
-	// (SetGCHook) — the flight-recorder seam. Per-view, like the logger.
+	// (SetGCHook) — the event-stream seam. Per-view.
 	gcHook func(GCResult)
 
 	// satC caches satisfying-set counts keyed by regular (uncomplemented)
@@ -144,15 +145,11 @@ type Manager struct {
 	satEpoch uint64
 }
 
-// SetLogger attaches a structured logger for manager events. A nil logger
-// silences them (the default).
-func (m *Manager) SetLogger(log *slog.Logger) { m.log = log }
-
 // SetGCHook registers an observer for completed GC passes: the hook
 // receives each pass's GCResult, exactly once per call. The hook runs on
 // the collecting goroutine with the table quiescent, so it must be cheap
-// and must not touch the manager. A nil hook disables it (the default). Per-view, like the
-// logger: each worker engine installs its own.
+// and must not touch the manager. A nil hook disables it (the default).
+// Per-view: each worker engine installs its own.
 func (m *Manager) SetGCHook(hook func(GCResult)) { m.gcHook = hook }
 
 // SetBudget arms an operation budget for the analyses that follow: the

@@ -32,7 +32,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"sync/atomic"
 	"syscall"
@@ -247,8 +246,7 @@ type Injector struct {
 	rules   [numPoints][]*compiledRule
 	tear    func(bytes int)
 	kill    func()
-	log     *slog.Logger
-	hook    func(p Point, key int) // observer for every firing; nil = off
+	hook    func(p Point, key int) // observer for every firing (the event stream's seam); nil = off
 	fired   atomic.Int64
 	seq     [numPoints]atomic.Int64 // per-point evaluation counters (sequence-keyed points)
 }
@@ -295,18 +293,10 @@ func New(cfg *Config) *Injector {
 	return in
 }
 
-// SetLogger attaches a structured logger; every firing is logged at Info
-// with its point and key. Set before the campaign starts.
-func (in *Injector) SetLogger(log *slog.Logger) {
-	if in == nil {
-		return
-	}
-	in.log = log
-}
-
 // SetEventHook registers an observer called for every firing with its
-// point and key (the flight-recorder seam — the audit trail a post-mortem
-// correlates injections against). The hook runs on the firing goroutine;
+// point and key (the event-stream seam: the campaign emits each firing as
+// a chaos event, which is logged and becomes the audit trail a
+// post-mortem correlates injections against). The hook runs on the firing goroutine;
 // it must be cheap and must not inject. Set before the campaign starts; a
 // nil hook disables it (the default).
 func (in *Injector) SetEventHook(hook func(p Point, key int)) {
@@ -343,9 +333,6 @@ func (in *Injector) fires(p Point, key int) *compiledRule {
 		}
 		if r.match(in.seed, key) && r.take() {
 			in.fired.Add(1)
-			if in.log != nil {
-				in.log.Info("chaos injection fired", "point", p.String(), "key", key)
-			}
 			if in.hook != nil {
 				in.hook(p, key)
 			}

@@ -35,7 +35,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.Injected() != 0 || in.Has(PointBudget) {
 		t.Fatal("nil injector reported state")
 	}
-	in.SetLogger(nil) // must not crash
 }
 
 func TestIndicesSelectExactly(t *testing.T) {

@@ -25,7 +25,6 @@ package diffprop
 
 import (
 	"fmt"
-	"log/slog"
 	"math/bits"
 	"sync"
 	"time"
@@ -139,10 +138,6 @@ type Engine struct {
 	// one view re-roots every other view at once.
 	shared *sync.RWMutex
 
-	// log receives structured engine events (rebuilds, budget aborts);
-	// nil is silent. Not shared with other views.
-	log *slog.Logger
-
 	// phaseClock, when set, timestamps the three phases of each analysis
 	// (difference build, propagation, satisfying-set count) into
 	// lastPhases. Off by default: it adds time.Now calls to the hot path.
@@ -186,10 +181,6 @@ type Engine struct {
 type PhaseTimes struct {
 	Build, Propagate, SatCount time.Duration
 }
-
-// SetLogger attaches a structured logger for engine events (generational
-// rebuilds, budget aborts). A nil logger silences them (the default).
-func (e *Engine) SetLogger(log *slog.Logger) { e.log = log }
 
 // EnablePhaseTiming toggles per-analysis phase timestamps (see
 // LastPhases). Off by default because it adds clock reads to every fault.
@@ -293,16 +284,6 @@ func (e *Engine) Stats() Stats {
 		PeakNodes:       peak,
 		Cache:           e.m.CacheStats(),
 	}
-}
-
-// CacheTraffic sums the engine's op-cache hits and misses across the
-// apply, ite and not caches — the live feed behind the timeline
-// sampler's hit-ratio curve. Cheaper than Stats() when only the cache
-// counters are wanted: it skips the node-count walk.
-func (e *Engine) CacheTraffic() (hits, misses int64) {
-	cs := e.m.CacheStats()
-	return cs.ApplyHits + cs.IteHits + cs.NotHits,
-		cs.ApplyMisses + cs.IteMisses + cs.NotMisses
 }
 
 // LastConeGates returns the number of gates the most recent analysis's
@@ -439,7 +420,7 @@ func (e *Engine) AnalysisLock() func() {
 	if e.m.NodeCount() > e.rebuildLimit {
 		sh.Lock()
 		if e.m.NodeCount() > e.rebuildLimit {
-			e.compact("limit")
+			e.compact()
 		}
 		sh.Unlock()
 	}
@@ -600,12 +581,12 @@ func (e *Engine) Recover() {
 		// the write lock drops its read lock first, exactly like here.
 		sh.RUnlock()
 		sh.Lock()
-		e.compact("recover")
+		e.compact()
 		sh.Unlock()
 		sh.RLock()
 		return
 	}
-	e.compact("recover")
+	e.compact()
 }
 
 // maybeCompact garbage-collects the manager around the good functions when
@@ -614,14 +595,14 @@ func (e *Engine) maybeCompact() {
 	if e.m.NodeCount() <= e.rebuildLimit {
 		return
 	}
-	e.compact("limit")
+	e.compact()
 }
 
 // compact garbage-collects the manager in place around the good functions.
 // The manager keeps its identity, so cumulative cache statistics and the
 // node high-water mark survive without engine-side accumulators. Shared by
 // maybeCompact (node-table growth) and Recover (the ladder's GC rung).
-func (e *Engine) compact(cause string) {
+func (e *Engine) compact() {
 	before := e.m.NodeCount()
 	if before > e.peakNodes {
 		e.peakNodes = before
@@ -630,10 +611,6 @@ func (e *Engine) compact(cause string) {
 	copy(e.good, roots)
 	e.rebuilds++
 	e.nodesReclaimed += int64(res.Reclaimed())
-	if e.log != nil {
-		e.log.Debug("bdd rebuild", "cause", cause, "nodes_before", before,
-			"nodes_after", e.m.NodeCount(), "rebuilds", e.rebuilds)
-	}
 }
 
 // Result is the outcome of one fault analysis: the complete test set and

@@ -1,9 +1,9 @@
 // Flight recorder: a fixed-size ring buffer of structured campaign
 // events — worker claims and drains, fault outcomes with op counts,
 // GC passes, calibration bumps, chaos injections, checkpoint I/O,
-// budget blows and supervisor events — retained in memory for the whole
-// run and dumped as JSON on panic, checkpoint poisoning,
-// second SIGINT, or normal completion. The ring stores compact value
+// budget blows and supervisor events, all written by Emit — retained in
+// memory for the whole run and dumped as JSON on panic, checkpoint
+// poisoning, second SIGINT, or normal completion. The ring stores compact value
 // structs (enum kinds, enum labels, two generic int64 payloads); JSON
 // rendering happens only at dump time, so recording stays allocation-free
 // and a nil *FlightRecorder is a no-op like every other obs handle.
@@ -112,19 +112,8 @@ func (k FlightKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// FlightKindByName resolves a wire name back to its kind (ok=false for
-// unknown names) — the post-mortem analyzer's parse direction.
-func FlightKindByName(name string) (FlightKind, bool) {
-	for k, n := range flightKindNames {
-		if n == name {
-			return FlightKind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Flight labels qualify an event without allocating: outcome labels for
-// fault events, chaos-point labels for injections, I/O-op labels for
+// fault events (also the outcome names of trace spans), chaos-point labels for injections, I/O-op labels for
 // checkpoint errors. Label 0 renders as no label at all.
 const (
 	FlightLabelNone uint8 = iota
@@ -201,20 +190,6 @@ func FlightLabelByName(name string) uint8 {
 		}
 	}
 	return FlightLabelNone
-}
-
-// FlightOutcomeLabel maps an analysis outcome to its flight label.
-func FlightOutcomeLabel(o Outcome) uint8 {
-	switch o {
-	case OutcomeExact:
-		return FlightLabelExact
-	case OutcomeApproximate:
-		return FlightLabelApproximate
-	case OutcomeRescued:
-		return FlightLabelRescued
-	default:
-		return FlightLabelError
-	}
 }
 
 // flightSlot is one ring entry — a value struct so the ring is a single

@@ -53,19 +53,10 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 }
 
 func TestFlightKindLabelNameRoundTrip(t *testing.T) {
-	for k := FlightKind(0); k < flightKindCount; k++ {
-		got, ok := FlightKindByName(k.String())
-		if !ok || got != k {
-			t.Errorf("kind %d: round trip via %q gave (%d, %v)", k, k.String(), got, ok)
-		}
-	}
 	for l := FlightLabelNone; l <= FlightLabelCanceled; l++ {
 		if got := FlightLabelByName(FlightLabelName(l)); got != l {
 			t.Errorf("label %d: round trip via %q gave %d", l, FlightLabelName(l), got)
 		}
-	}
-	if _, ok := FlightKindByName("no-such-kind"); ok {
-		t.Error("FlightKindByName accepted an unknown name")
 	}
 }
 

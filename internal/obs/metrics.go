@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -364,14 +363,6 @@ func writePromHistogram(w io.Writer, name, help string, s HistogramSnapshot) err
 }
 
 func formatFloat(f float64) string { return fmt.Sprintf("%g", f) }
-
-// Handler serves the registry as a Prometheus /metrics endpoint.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w) //nolint:errcheck // best-effort over HTTP
-	})
-}
 
 // Snapshot returns every metric as a name → value map (histograms become
 // {count, sum, buckets} maps); the expvar export serves this.

@@ -1,7 +1,10 @@
 // Package obs is the repository's unified observability layer: a
 // zero-dependency (standard library only) metrics registry, structured
-// logging helpers, a per-fault event tracer, live campaign heartbeats, and
-// a debug HTTP server tying them together.
+// logging helpers, a per-fault span tracer, live campaign heartbeats, a
+// flight recorder, and a debug HTTP server tying them together. Every
+// campaign, checkpoint, chaos and supervisor fact enters through one
+// emitter (Observer.Emit, emit.go), which feeds each of those sinks from
+// one table keyed by the event's kind.
 //
 // Everything here is default-off and nil-safe. A nil *Observer, *Campaign,
 // *Tracer, *Counter, *Gauge or *Histogram accepts every method call as a
@@ -18,39 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Outcome classifies how one fault's record was produced, mirroring the
-// analysis layer's exact / degraded / errored trichotomy.
-type Outcome int
-
-const (
-	// OutcomeExact marks a fault whose analysis completed exactly.
-	OutcomeExact Outcome = iota
-	// OutcomeApproximate marks a fault that blew its resource budget and
-	// degraded to a random-vector simulation estimate.
-	OutcomeApproximate
-	// OutcomeError marks a fault whose analysis panicked.
-	OutcomeError
-	// OutcomeRescued marks a fault whose first attempt blew a resource
-	// bound but whose recovery-ladder retry completed exactly. Rescued is a
-	// sub-classification of exact: heartbeats count it under both, so
-	// Analyzed = Exact + Degraded + Errored keeps reconciling.
-	OutcomeRescued
-)
-
-// String returns the outcome's wire label (used in trace events).
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeExact:
-		return "exact"
-	case OutcomeApproximate:
-		return "approximate"
-	case OutcomeRescued:
-		return "rescued"
-	default:
-		return "error"
-	}
-}
 
 // Observer is the umbrella handle threaded through campaign runners: an
 // optional structured logger, an optional metrics registry, an optional
@@ -71,8 +41,9 @@ type Observer struct {
 
 	mu        sync.Mutex
 	campaigns []*Campaign
-	cm        *CampaignMetrics
 	timeline  *Timeline
+	cmOnce    sync.Once
+	cm        *CampaignMetrics
 }
 
 // Logger returns the observer's logger, or a no-op logger when the
@@ -84,19 +55,20 @@ func (o *Observer) Logger() *slog.Logger {
 	return o.Log
 }
 
-// StartCampaign registers a new live campaign heartbeat. A nil observer
-// returns a nil (no-op) campaign.
+// StartCampaign registers a new live campaign heartbeat and emits its
+// campaign_start event. A nil observer returns a nil (no-op) campaign.
 func (o *Observer) StartCampaign(name string, total int) *Campaign {
 	if o == nil {
 		return nil
 	}
-	c := &Campaign{name: name, total: int64(total), start: time.Now()}
+	c := &Campaign{o: o, name: name, total: int64(total), start: time.Now()}
+	if o.Log != nil {
+		c.log = o.Log.With("campaign", name)
+	}
 	o.mu.Lock()
 	o.campaigns = append(o.campaigns, c)
 	o.mu.Unlock()
-	if o.Metrics != nil {
-		o.CampaignMetrics().CampaignsRunning.Add(1)
-	}
+	c.Emit(Event{Kind: FlightCampaignStart, Worker: -1, Index: -1, A: int64(total)})
 	return c
 }
 
@@ -164,8 +136,7 @@ type CampaignMetrics struct {
 	ConeGates *Histogram
 	// campaign_gates_visited_total / campaign_gates_skipped_total: gates
 	// the propagation loops examined versus gates cone restriction never
-	// touched, accumulated live (per-worker deltas folded after every
-	// fault) so the timeline can track the skip ratio mid-campaign.
+	// touched.
 	GatesVisited, GatesSkipped *Counter
 	// campaigns_running: currently active campaign count.
 	CampaignsRunning *Gauge
@@ -177,14 +148,9 @@ type CampaignMetrics struct {
 	// views attached to the campaign's node table, and the table's
 	// in-place adoption generation (GC count visible to all views).
 	BDDTableViews, BDDTableEpoch *Gauge
-	// bdd_cache_hits_total / bdd_cache_misses_total: operation caches,
-	// folded in once at campaign finish.
+	// bdd_cache_hits_total / bdd_cache_misses_total: operation-cache
+	// traffic of the campaign's faults (prototype synthesis excluded).
 	CacheHits, CacheMisses *Counter
-	// bdd_cache_hits_live / bdd_cache_misses_live: the same cache traffic
-	// accumulated continuously during the run (per-worker deltas folded
-	// after every fault), so the timeline sampler can compute an
-	// interval-local hit ratio mid-campaign.
-	CacheHitsLive, CacheMissesLive *Gauge
 	// bdd_table_buckets: hash-bucket capacity of the campaign's unique
 	// table; with bdd_nodes it yields the table occupancy (load factor).
 	BDDTableBuckets *Gauge
@@ -229,12 +195,11 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 	if o == nil || o.Metrics == nil {
 		return &CampaignMetrics{}
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.cm != nil {
-		return o.cm
-	}
-	r := o.Metrics
+	o.cmOnce.Do(func() { o.cm = newCampaignMetrics(o.Metrics) })
+	return o.cm
+}
+
+func newCampaignMetrics(r *Registry) *CampaignMetrics {
 	cm := &CampaignMetrics{
 		FaultsDone:      r.Counter("campaign_faults_done_total", "Faults finished (analyzed or restored from checkpoint)."),
 		FaultsExact:     r.Counter("campaign_faults_exact_total", "Faults analyzed exactly."),
@@ -256,8 +221,6 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		BDDTableEpoch:     r.Gauge("bdd_table_epoch", "In-place adoption generation of the shared node table (bumps on GC)."),
 		CacheHits:         r.Counter("bdd_cache_hits_total", "BDD apply/ite/not operation-cache hits."),
 		CacheMisses:       r.Counter("bdd_cache_misses_total", "BDD apply/ite/not operation-cache misses."),
-		CacheHitsLive:     r.Gauge("bdd_cache_hits_live", "Operation-cache hits accumulated live during the run (timeline source)."),
-		CacheMissesLive:   r.Gauge("bdd_cache_misses_live", "Operation-cache misses accumulated live during the run (timeline source)."),
 		BDDTableBuckets:   r.Gauge("bdd_table_buckets", "Hash-bucket capacity of the campaign's BDD unique table."),
 		CheckpointAppends: r.Counter("checkpoint_appends_total", "Fault records appended to the checkpoint file."),
 		CheckpointFsyncs:  r.Counter("checkpoint_fsyncs_total", "fsync calls issued by the checkpointer."),
@@ -282,14 +245,16 @@ func (o *Observer) CampaignMetrics() *CampaignMetrics {
 		}
 		return float64(hits) / float64(hits+misses)
 	})
-	o.cm = cm
 	return cm
 }
 
-// Campaign is the live heartbeat of one running campaign. All counters
+// Campaign is the live heartbeat of one running campaign, updated by the
+// campaign's events (Emit) and engine traffic (AddWork). All counters
 // are atomics so the /progress endpoint can read them while workers
 // update them; every method is nil-safe.
 type Campaign struct {
+	o     *Observer
+	log   *slog.Logger // the observer's logger with the campaign name; nil = silent
 	name  string
 	total int64
 	start time.Time
@@ -320,13 +285,10 @@ func (c *Campaign) clock() time.Time {
 	return time.Now()
 }
 
-// FaultDone records one finished fault with its outcome. OutcomeRescued
-// increments both the exact and the rescued counters: rescued faults ARE
-// exact results, just ones the recovery ladder had to fight for.
-func (c *Campaign) FaultDone(o Outcome) {
-	if c == nil {
-		return
-	}
+// faultDone counts one finished fault by its outcome label. A rescued
+// fault counts as exact and as rescued: rescued faults ARE exact results,
+// just ones the recovery ladder had to fight for.
+func (c *Campaign) faultDone(label uint8) {
 	c.done.Add(1)
 	c.winMu.Lock()
 	c.win[c.winPos] = int64(c.clock().Sub(c.start))
@@ -335,50 +297,34 @@ func (c *Campaign) FaultDone(o Outcome) {
 		c.winLen++
 	}
 	c.winMu.Unlock()
-	switch o {
-	case OutcomeExact:
+	switch label {
+	case FlightLabelExact:
 		c.exact.Add(1)
-	case OutcomeRescued:
+	case FlightLabelRescued:
 		c.exact.Add(1)
 		c.rescued.Add(1)
-	case OutcomeApproximate:
+	case FlightLabelApproximate:
 		c.degraded.Add(1)
-	case OutcomeError:
+	case FlightLabelError:
 		c.errored.Add(1)
 	}
 }
 
-// AddGateWalk accumulates one fault's propagation-walk footprint: gates
-// the loop visited and gates cone restriction skipped.
-func (c *Campaign) AddGateWalk(visited, skipped int64) {
-	if c == nil {
-		return
-	}
-	c.gatesVisited.Add(visited)
-	c.gatesSkipped.Add(skipped)
+// addResumed counts n faults restored from a checkpoint (done without
+// being analyzed).
+func (c *Campaign) addResumed(n int64) {
+	c.resumed.Add(n)
+	c.done.Add(n)
 }
 
-// AddResumed records n faults restored from a checkpoint (they count as
-// done without being analyzed).
-func (c *Campaign) AddResumed(n int) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.resumed.Add(int64(n))
-	c.done.Add(int64(n))
-}
-
-// Finish seals the heartbeat: cancellation state, unreached (skipped)
-// fault count, and final elapsed time. After Finish the snapshot's counts
+// finish seals the heartbeat: cancellation state, unreached (skipped)
+// fault count, and final elapsed time. After it the snapshot's counts
 // are immutable and reconcile exactly with the campaign's final
 // CampaignStats.
-func (c *Campaign) Finish(canceled bool) {
-	if c == nil {
-		return
-	}
+func (c *Campaign) finish(canceled bool) {
 	c.canceled.Store(canceled)
 	c.skipped.Store(c.total - c.done.Load())
-	c.elapsedNS.Store(int64(time.Since(c.start)))
+	c.elapsedNS.Store(int64(c.clock().Sub(c.start)))
 	c.finished.Store(true)
 }
 

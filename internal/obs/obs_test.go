@@ -11,14 +11,14 @@ import (
 func TestCampaignHeartbeatLifecycle(t *testing.T) {
 	o := &Observer{}
 	c := o.StartCampaign("stuckat c95s", 100)
-	c.AddResumed(10)
+	c.addResumed(10)
 	for i := 0; i < 60; i++ {
-		c.FaultDone(OutcomeExact)
+		c.faultDone(FlightLabelExact)
 	}
 	for i := 0; i < 5; i++ {
-		c.FaultDone(OutcomeApproximate)
+		c.faultDone(FlightLabelApproximate)
 	}
-	c.FaultDone(OutcomeError)
+	c.faultDone(FlightLabelError)
 
 	s := c.Snapshot()
 	if s.Done != 76 || s.Analyzed != 66 || s.Exact != 60 || s.Degraded != 5 || s.Errored != 1 || s.Resumed != 10 {
@@ -28,7 +28,7 @@ func TestCampaignHeartbeatLifecycle(t *testing.T) {
 		t.Fatalf("snapshot finished early: %+v", s)
 	}
 
-	c.Finish(true)
+	c.finish(true)
 	s = c.Snapshot()
 	if !s.Finished || !s.Canceled {
 		t.Fatalf("finish not recorded: %+v", s)
@@ -53,12 +53,12 @@ func TestCampaignConcurrentFaultDone(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				c.FaultDone(OutcomeExact)
+				c.faultDone(FlightLabelExact)
 			}
 		}()
 	}
 	wg.Wait()
-	c.Finish(false)
+	c.finish(false)
 	s := c.Snapshot()
 	if s.Done != 1000 || s.Exact != 1000 || s.Skipped != 0 {
 		t.Fatalf("concurrent heartbeat lost updates: %+v", s)
@@ -75,9 +75,8 @@ func TestObserverNilSafety(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil observer must hand out a nil campaign")
 	}
-	c.FaultDone(OutcomeExact)
-	c.AddResumed(3)
-	c.Finish(false)
+	c.Emit(Event{Kind: FlightFaultDone, Label: FlightLabelExact})
+	c.AddWork(FaultWork{GatesVisited: 3})
 	if s := c.Snapshot(); s != (CampaignSnapshot{}) {
 		t.Fatalf("nil campaign snapshot = %+v, want zero", s)
 	}
@@ -91,6 +90,7 @@ func TestObserverNilSafety(t *testing.T) {
 	cm.FaultsDone.Inc()
 	cm.FaultLatency.Observe(0.1)
 	cm.BDDPeakNodes.SetMax(100)
+	o.Emit(Event{Kind: FlightChaos})
 }
 
 func TestCampaignMetricsRegisteredOnce(t *testing.T) {
@@ -117,14 +117,17 @@ func TestCampaignMetricsRegisteredOnce(t *testing.T) {
 	}
 }
 
+// TestOutcomeString pins the outcome labels' wire names: fault events,
+// trace spans and post-mortem outcome tables all spell outcomes this way.
 func TestOutcomeString(t *testing.T) {
-	for o, want := range map[Outcome]string{
-		OutcomeExact:       "exact",
-		OutcomeApproximate: "approximate",
-		OutcomeError:       "error",
+	for l, want := range map[uint8]string{
+		FlightLabelExact:       "exact",
+		FlightLabelRescued:     "rescued",
+		FlightLabelApproximate: "approximate",
+		FlightLabelError:       "error",
 	} {
-		if o.String() != want {
-			t.Fatalf("Outcome(%d).String() = %q, want %q", o, o.String(), want)
+		if got := FlightLabelName(l); got != want {
+			t.Fatalf("FlightLabelName(%d) = %q, want %q", l, got, want)
 		}
 	}
 }

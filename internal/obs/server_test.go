@@ -27,8 +27,8 @@ func TestDebugServerEndpoints(t *testing.T) {
 	o := &Observer{Metrics: NewRegistry()}
 	o.Metrics.Counter("campaign_faults_done_total", "done").Add(3)
 	camp := o.StartCampaign("stuckat c95s", 10)
-	camp.FaultDone(OutcomeExact)
-	camp.FaultDone(OutcomeApproximate)
+	camp.faultDone(FlightLabelExact)
+	camp.faultDone(FlightLabelApproximate)
 
 	srv := httptest.NewServer(NewMux(o))
 	defer srv.Close()

@@ -152,7 +152,7 @@ func (t *Timeline) sample() {
 	if buckets := t.cm.BDDTableBuckets.Value(); buckets > 0 {
 		s.TableLoad = float64(s.BDDNodes) / float64(buckets)
 	}
-	hits, misses := t.cm.CacheHitsLive.Value(), t.cm.CacheMissesLive.Value()
+	hits, misses := t.cm.CacheHits.Value(), t.cm.CacheMisses.Value()
 	visited, skipped := t.cm.GatesVisited.Value(), t.cm.GatesSkipped.Value()
 	s.GatesVisited = visited
 

@@ -16,8 +16,8 @@ func TestTimelineSamplesCampaignGauges(t *testing.T) {
 	cm.GatesVisited.Add(300)
 	cm.CalibrationBudgetOps.Set(123456)
 	cm.FaultsDone.Add(42)
-	cm.CacheHitsLive.Set(900)
-	cm.CacheMissesLive.Set(100)
+	cm.CacheHits.Add(900)
+	cm.CacheMisses.Add(100)
 
 	tl := o.StartTimeline(time.Millisecond, 16)
 	if tl == nil {
@@ -146,12 +146,12 @@ func TestSnapshotETAUsesRecentRate(t *testing.T) {
 	// 100 faults over 10000s: whole-run average of 0.01 faults/s.
 	for i := 0; i < 100; i++ {
 		clock = base.Add(time.Duration(i+1) * 100 * time.Second)
-		c.FaultDone(OutcomeExact)
+		c.faultDone(FlightLabelExact)
 	}
 	// Then 64 faults at 1/s: the window now only sees the fast regime.
 	for i := 0; i < 64; i++ {
 		clock = clock.Add(time.Second)
-		c.FaultDone(OutcomeExact)
+		c.faultDone(FlightLabelExact)
 	}
 
 	s := c.Snapshot()
@@ -167,11 +167,19 @@ func TestSnapshotETAUsesRecentRate(t *testing.T) {
 		t.Fatalf("ETASec = %.0f, implausibly low", s.ETASec)
 	}
 
+	// Finish freezes the elapsed time on the same clock: 10000s + 64s
+	// after the fake start, not the real time since it.
+	c.finish(false)
+	clock = clock.Add(time.Hour)
+	if s := c.Snapshot(); s.ElapsedSec != 10064 {
+		t.Fatalf("finished ElapsedSec = %v, want 10064 on the campaign clock", s.ElapsedSec)
+	}
+
 	// Until the window has two entries the projection falls back to the
 	// whole-run average instead of dividing by a zero span.
 	c2 := &Campaign{name: "eta2", total: 10, start: base, now: func() time.Time { return clock }}
 	clock = base.Add(2 * time.Second)
-	c2.FaultDone(OutcomeExact)
+	c2.faultDone(FlightLabelExact)
 	if s2 := c2.Snapshot(); s2.ETASec <= 0 {
 		t.Fatalf("single-completion ETASec = %v, want whole-run fallback > 0", s2.ETASec)
 	}

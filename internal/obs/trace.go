@@ -42,7 +42,8 @@ type FaultSpan struct {
 	Index  int
 	Fault  string
 	Worker int
-	// Outcome is "exact", "approximate" or "error" (Outcome.String).
+	// Outcome is the fault's outcome label: "exact", "rescued",
+	// "approximate" or "error".
 	Outcome string
 	// Start and Dur delimit the whole analysis; Build, Propagate and
 	// SatCount break it into the engine's phases (zero when the engine

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"log/slog"
 
 	"repro/internal/faults"
 	"repro/internal/netlist"
@@ -25,16 +24,7 @@ type Estimator struct {
 	p     *Patterns
 	good  [][]uint64
 	reach *faults.Reachability
-
-	// log receives one Debug record per estimate when set. It must be set
-	// before the estimator is shared across goroutines (SetLogger is a
-	// plain write; the slog.Logger itself is concurrency-safe).
-	log *slog.Logger
 }
-
-// SetLogger attaches a structured logger recording each degraded-fault
-// estimate. Call before sharing the estimator across goroutines.
-func (e *Estimator) SetLogger(log *slog.Logger) { e.log = log }
 
 // NewEstimator builds an estimator over `vectors` random patterns drawn
 // from the seed. The same (circuit, vectors, seed) triple always yields
@@ -60,11 +50,7 @@ func (e *Estimator) Vectors() int { return e.p.Count }
 // pattern block that detects it.
 func (e *Estimator) StuckAt(f faults.StuckAt) float64 {
 	det := detectStuckAt(e.c, f, e.p, e.good)
-	est := float64(CountBits(det)) / float64(e.p.Count)
-	if e.log != nil {
-		e.log.Debug("simulation estimate", "fault", f.String(), "detectability", est, "vectors", e.p.Count)
-	}
-	return est
+	return float64(CountBits(det)) / float64(e.p.Count)
 }
 
 // Bridging estimates the bridging fault's detectability. Like the exact
@@ -75,9 +61,5 @@ func (e *Estimator) Bridging(b faults.Bridging) float64 {
 		panic(fmt.Sprintf("simulate: %v is a feedback bridge", b))
 	}
 	det := detectBridging(e.c, b, e.p, e.good, e.reach.Cone(b.U), e.reach.Cone(b.V))
-	est := float64(CountBits(det)) / float64(e.p.Count)
-	if e.log != nil {
-		e.log.Debug("simulation estimate", "fault", b.String(), "detectability", est, "vectors", e.p.Count)
-	}
-	return est
+	return float64(CountBits(det)) / float64(e.p.Count)
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand/v2"
 	"os/exec"
 	"sync"
@@ -79,10 +78,10 @@ type Config struct {
 	// isolated instead of failing.
 	Quarantine func(sh Shard) error
 
-	// Log, Obs and Progress are optional observability hooks. Progress is
-	// called (serialized) with the campaign-wide completed-fault count as
+	// Obs and Progress are optional observability hooks: every
+	// supervision event is emitted to Obs, and Progress is called
+	// (serialized) with the campaign-wide completed-fault count as
 	// heartbeats and completions arrive.
-	Log      *slog.Logger
 	Obs      *obs.Observer
 	Progress func(done, total int)
 }
@@ -195,11 +194,8 @@ func (s *Supervisor) Run(ctx context.Context, shards []Shard, procs int) (Result
 				fail(err)
 				break
 			}
-			s.event(obs.FlightSpawn, obs.FlightLabelNone, slot, sh.Lo, int64(sh.Size()), int64(sh.Attempt))
+			s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightSpawn, Worker: slot, Index: sh.Lo, A: int64(sh.Size()), B: int64(sh.Attempt)})
 			s.gauge(+1)
-			if s.cfg.Log != nil {
-				s.cfg.Log.Info("worker launched", "shard", sh.Range(), "slot", slot, "attempt", sh.Attempt, "degrade", sh.Degrade)
-			}
 			active++
 			go func() { events <- s.monitor(sh, slot, w) }()
 		}
@@ -223,12 +219,7 @@ func (s *Supervisor) Run(ctx context.Context, shards []Shard, procs int) (Result
 				continue
 			}
 			res.Deaths++
-			s.count(func(cm *obs.CampaignMetrics) *obs.Counter { return cm.SupervisorWorkerDeaths })
-			s.event(obs.FlightWorkerDeath, ev.cause, ev.slot, ev.sh.Lo, int64(ev.exitCode), int64(ev.doneCount))
-			if s.cfg.Log != nil {
-				s.cfg.Log.Warn("worker died", "shard", ev.sh.Range(), "slot", ev.slot,
-					"cause", obs.FlightLabelName(ev.cause), "exit", ev.exitCode, "attempt", ev.sh.Attempt)
-			}
+			s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightWorkerDeath, Label: ev.cause, Worker: ev.slot, Index: ev.sh.Lo, A: int64(ev.exitCode), B: int64(ev.doneCount)})
 			if ctx.Err() != nil || firstErr != nil {
 				continue // shutting down: do not re-dispatch
 			}
@@ -251,13 +242,12 @@ func (s *Supervisor) Run(ctx context.Context, shards []Shard, procs int) (Result
 				continue
 			}
 			res.Restarts++
-			s.count(func(cm *obs.CampaignMetrics) *obs.Counter { return cm.SupervisorRestarts })
 			delay := s.backoff(sh.Attempt)
 			label := obs.FlightLabelNone
 			if sh.Degrade > ev.sh.Degrade {
 				label = obs.FlightLabelDegraded
 			}
-			s.event(obs.FlightRestart, label, ev.slot, sh.Lo, int64(sh.Attempt), delay.Microseconds())
+			s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightRestart, Label: label, Worker: ev.slot, Index: sh.Lo, A: int64(sh.Attempt), B: delay.Microseconds()})
 			waiters++
 			go func(sh Shard) {
 				t := time.NewTimer(delay)
@@ -290,11 +280,7 @@ func (s *Supervisor) escalate(sh Shard, pending *[]Shard, res *Result) error {
 			return fmt.Errorf("supervise: quarantining fault %d: %w", sh.Lo, err)
 		}
 		res.Quarantined = append(res.Quarantined, sh.Lo)
-		s.count(func(cm *obs.CampaignMetrics) *obs.Counter { return cm.SupervisorQuarantined })
-		s.event(obs.FlightQuarantine, obs.FlightLabelNone, -1, sh.Lo, int64(sh.Attempt), 0)
-		if s.cfg.Log != nil {
-			s.cfg.Log.Warn("poison fault quarantined", "fault", sh.Lo, "deaths", sh.Attempt)
-		}
+		s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightQuarantine, Worker: -1, Index: sh.Lo, A: int64(sh.Attempt)})
 		s.leaseDone(sh, res)
 		return nil
 	}
@@ -313,11 +299,7 @@ func (s *Supervisor) escalate(sh Shard, pending *[]Shard, res *Result) error {
 		child.oomStreak = 0
 	}
 	res.Bisects++
-	s.count(func(cm *obs.CampaignMetrics) *obs.Counter { return cm.SupervisorBisects })
-	s.event(obs.FlightBisect, obs.FlightLabelNone, -1, sh.Lo, int64(sh.Size()), int64(mid))
-	if s.cfg.Log != nil {
-		s.cfg.Log.Warn("shard bisected", "shard", sh.Range(), "split", mid, "deaths", sh.Attempt)
-	}
+	s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightBisect, Worker: -1, Index: sh.Lo, A: int64(sh.Size()), B: int64(mid)})
 	s.mu.Lock()
 	delete(s.done, sh.Lo) // children report under their own lo keys
 	s.mu.Unlock()
@@ -329,9 +311,6 @@ func (s *Supervisor) escalate(sh Shard, pending *[]Shard, res *Result) error {
 func (s *Supervisor) leaseDone(sh Shard, res *Result) {
 	res.Completed = append(res.Completed, sh)
 	s.progress(sh, sh.Size())
-	if s.cfg.Log != nil {
-		s.cfg.Log.Info("shard completed", "shard", sh.Range(), "attempts", sh.Attempt+1)
-	}
 }
 
 // monitor owns one worker's lifetime: it tracks protocol liveness, kills
@@ -376,10 +355,6 @@ func (s *Supervisor) monitor(sh Shard, slot int, w Worker) workerExit {
 			}
 			if m.Type == MsgDone {
 				doneSeen = true
-			}
-		case MsgError:
-			if s.cfg.Log != nil {
-				s.cfg.Log.Error("worker reported fatal error", "shard", sh.Range(), "err", m.Err)
 			}
 		}
 		mu.Unlock()
@@ -436,20 +411,6 @@ func (s *Supervisor) progress(sh Shard, done int) {
 	s.mu.Unlock()
 	if cb != nil {
 		cb(sum, total)
-	}
-}
-
-// event records a flight event (nil-safe).
-func (s *Supervisor) event(kind obs.FlightKind, label uint8, worker, index int, a, b int64) {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Flight.Record(kind, label, worker, index, a, b)
-	}
-}
-
-// count bumps a supervisor counter (nil-safe).
-func (s *Supervisor) count(pick func(*obs.CampaignMetrics) *obs.Counter) {
-	if s.cfg.Obs != nil {
-		pick(s.cfg.Obs.CampaignMetrics()).Inc()
 	}
 }
 
