@@ -146,7 +146,7 @@ func (in *campaignInstr) faultDone(e *diffprop.Engine, worker, i int, outcome fa
 }
 
 // unitDone records the faults idx of one unit answered by a single shared
-// walk that began at start: each fault gets an equal slice of the unit's
+// analysis that began at start: each fault gets an equal slice of the unit's
 // wall time, ops and phase times, laid end to end from start, so the
 // per-fault channels add up to the unit's cost.
 func (in *campaignInstr) unitDone(e *diffprop.Engine, worker int, idx []int, start time.Time) {

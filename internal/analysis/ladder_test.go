@@ -47,13 +47,17 @@ func TestLadderInvarianceWhenNoBudgetFires(t *testing.T) {
 // recovery ladder converts previously Approximate records into exact
 // results — CampaignStats.Degraded drops to zero and Rescued counts the
 // conversions — and the rescued study is bit-identical to an unbudgeted
-// run.
+// run. The list's primary-input faults come first and are answered from
+// Boolean differences far under the budget, so the subset is the 40
+// faults from the first fan-out branch fault on, which propagate.
 func TestLadderRescuesTightBudgetC1908(t *testing.T) {
 	c := circuits.MustGet("c1908s")
 	fs := faults.CheckpointStuckAts(c.Decompose2())
-	if len(fs) > 40 {
-		fs = fs[:40]
+	first := 0
+	for first < len(fs) && !fs[first].IsBranch() {
+		first++
 	}
+	fs = fs[first:min(first+40, len(fs))]
 	// ~100k charged ops sits under the median per-fault cost measured on
 	// this circuit, so a healthy fraction of the subset blows it.
 	const tightOps = 100_000

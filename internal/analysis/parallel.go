@@ -125,13 +125,14 @@ type CampaignStats struct {
 	// Faults is the number of faults analyzed.
 	Faults int
 	// GateEvaluations totals the gates whose difference function was
-	// computed across all faults; selective trace skipped the rest.
+	// computed across all faults; selective trace skipped the rest. A
+	// primary-input unit's faults count the gates their records report.
 	GateEvaluations int64
 	// GatesVisited totals the gates every fault's propagation examined and
-	// GatesSkipped the gates cone-restricted propagation never touched
-	// (a shared walk counts once per fault it answers); their sum is
-	// analyses × gate count, and the skipped share is the structural
-	// saving over the full-scan reference.
+	// GatesSkipped the gates cone-restricted propagation never touched; a
+	// primary-input unit walks no gate, so every fault it answers counts
+	// them all as skipped. Their sum is analyses × gate count, and the
+	// skipped share is the structural saving over the full-scan reference.
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational BDD-manager GC passes over all engines.
@@ -163,7 +164,8 @@ type CampaignStats struct {
 	Retried int
 	Rescued int
 	// SharedUnits counts the units whose faults — both stuck-at polarities
-	// of one primary input — were all answered by one shared propagation.
+	// of one primary input — were all answered by one shared analysis
+	// (diffprop.Engine.StuckAtPI).
 	SharedUnits int
 	// ChaosInjected counts chaos-harness injections that fired during the
 	// run (0 without a chaos config).
@@ -218,9 +220,9 @@ func (s CampaignStats) String() string {
 // diffprop.Stats — the type whose Merge method defines the one aggregation
 // rule for combining per-engine counters (sum the additive counters, max
 // the PeakNodes high-water mark, accumulate the cache stats). Analyses is
-// left zero: CampaignStats.Faults counts faults, not engine propagations —
+// left zero: CampaignStats.Faults counts faults, not engine analyses —
 // one fault may run several (the recovery ladder's retry), and one
-// propagation can serve several faults (a shared primary-input walk).
+// analysis can serve several faults (a primary-input unit).
 func (s *CampaignStats) EngineStats() diffprop.Stats {
 	return diffprop.Stats{
 		GateEvaluations: s.GateEvaluations,
@@ -290,10 +292,10 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 // done without being re-analyzed.
 //
 // units (nil = every fault alone) groups the faults one shared
-// propagation can answer; a worker takes a unit whole, hands it to
-// units.run, and analyzes its faults one by one when the shared walk
-// aborts. Per-fault latency and calibration samples of a shared unit are
-// its wall time and ops divided by its fault count.
+// analysis can answer; a worker takes a unit whole, hands it to
+// units.run, and analyzes its faults one by one when the shared analysis
+// aborts. Per-fault latency of a shared unit is its wall time divided by
+// its fault count; a unit feeds no calibration sample.
 //
 // Workers claim guided-size blocks of contiguous fault indices rather
 // than single faults: neighboring faults share fan-out cones, so
@@ -320,7 +322,7 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 	var (
 		next   atomic.Int64
 		stop   atomic.Bool
-		shared atomic.Int64 // units answered by one shared walk
+		shared atomic.Int64 // units answered by one shared analysis
 		wg     sync.WaitGroup
 
 		mu       sync.Mutex // guards the counters below and serializes Progress
@@ -424,12 +426,8 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 						ok, err := units.run(e, w, idx)
 						unlock()
 						if ok {
-							// The calibrated budget stays a per-fault
-							// quantity: each fault is charged its share.
-							ops := e.AnalysisOps() / int64(len(idx))
-							for range idx {
-								cal.observe(outcomeExact, ops)
-							}
+							// No calibration sample: a unit's ops per
+							// fault do not predict a propagated fault's.
 							instr.unitDone(e, w, idx, t0)
 							shared.Add(1)
 							for range idx {
@@ -438,9 +436,9 @@ func runCampaign(engines []*diffprop.Engine, total int, cfg CampaignConfig, skip
 							}
 							continue
 						}
-						// The walk aborted or panicked: each fault takes the
+						// The unit aborted or panicked: each fault takes the
 						// per-fault path, the first one charged the wasted
-						// walk's time.
+						// unit's time.
 					}
 					for _, i := range idx {
 						if i != idx[0] {
@@ -530,7 +528,7 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 // bit-identical and index-aligned to the serial RunStuckAt: every fault is
 // analyzed exactly, so the scheduling cannot change any result, only the
 // wall clock. Adjacent faults on one primary input form a unit answered by
-// one shared propagation (diffprop.Engine.StuckAtPI), which yields the
+// one shared analysis (diffprop.Engine.StuckAtPI), which yields the
 // per-fault records bit for bit. Fault sites must refer to the two-input
 // decomposition of c (the working circuit of any engine built from c),
 // which is deterministic.

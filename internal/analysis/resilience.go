@@ -204,7 +204,7 @@ func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb
 
 // chaosDraws holds one campaign's per-fault chaos decisions. Each fault's
 // injections are drawn once, the first time the fault is considered —
-// before its unit's shared walk, or before its own analysis — and every
+// before its unit's shared analysis, or before its own — and every
 // later consultation replays the same draw, so a fault whose unit falls
 // back to per-fault analysis is not injected twice. A fault is only ever
 // handled by the worker that claimed its unit, so slots need no locking.
@@ -286,8 +286,8 @@ func (d *chaosDraws) any(e *diffprop.Engine, idx []int) bool {
 }
 
 // tryStuckAtUnit analyzes the faults fs[idx], all on one primary input,
-// from one shared propagation under the per-fault budget scaled by their
-// count. ok is false when the walk aborted or panicked: the engine is
+// from one shared analysis under the per-fault budget scaled by their
+// count. ok is false when the analysis aborted or panicked: the engine is
 // recovered, nothing is returned, and the caller analyzes each fault
 // through analyzeStuckAt, whose ladder, degradation and error records are
 // the per-fault ones.

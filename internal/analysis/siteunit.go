@@ -1,8 +1,8 @@
 // Primary-input site units.
 //
 // Both stuck-at polarities of a primary input share one observability
-// function, so one propagation answers them both (diffprop.Engine.
-// StuckAtPI). The campaign dispatcher therefore treats a run of adjacent
+// function, the output functions' Boolean differences with respect to the
+// input, so one analysis answers them both (diffprop.Engine.StuckAtPI). The campaign dispatcher therefore treats a run of adjacent
 // faults on one primary input as a single unit of work.
 package analysis
 
@@ -10,7 +10,7 @@ import "repro/internal/diffprop"
 
 // siteUnits groups fault indices into units of work: a maximal run of
 // adjacent faults that sit on the same primary input is one unit,
-// analyzed by one worker from a single shared propagation; every other
+// analyzed by one worker from a single shared analysis; every other
 // fault is a unit of one. In a collapsed checkpoint list both polarities
 // of an input are adjacent. A nil *siteUnits makes every fault its own
 // unit.
@@ -18,7 +18,7 @@ type siteUnits struct {
 	// end[i] is one past the last fault of the unit containing i.
 	end []int
 	// run analyzes the faults idx (two or more, in index order) of one
-	// unit from one shared walk and records them. shared is false when
+	// unit from one shared analysis and records them. shared is false when
 	// nothing was recorded and the caller must analyze each fault on its
 	// own; err is a fatal persistence error.
 	run func(e *diffprop.Engine, w int, idx []int) (shared bool, err error)

@@ -4,9 +4,10 @@
 // negation is a tagged bit on the Ref, so Not is free, a function and its
 // complement share one node set, and the unique table stores roughly half
 // the nodes of the plain representation. All binary operations are
-// normalized ITE standard triples served by one computed cache; the one
-// four-operand operation, DiffAnd (Difference Propagation's AND/OR gate
-// rule), recurses on its own and keeps a smaller cache beside it.
+// normalized ITE standard triples served by one computed cache, which
+// also serves the two recursions of Difference Propagation: the
+// four-operand DiffAnd (its AND/OR gate rule) and BooleanDiff (a
+// function's Boolean difference with respect to one variable).
 //
 // The node store is shared: a Manager is a lightweight view (budget,
 // statistics, sat-count cache, logger) over a lock-striped concurrent
@@ -68,8 +69,8 @@ const (
 )
 
 // CacheStats counts hits and misses of the computed cache, attributed to
-// the operation family that issued them: And/Or/Xor/DiffAnd feed the
-// Apply counters, Ite/Compose/VectorCompose the Ite counters. Not is free
+// the operation family that issued them: And/Or/Xor/DiffAnd/BooleanDiff
+// feed the Apply counters, Ite/Compose/VectorCompose the Ite counters. Not is free
 // under complement edges and never probes a cache, so its counters stay
 // zero (kept for layout compatibility with aggregated historical stats). The
 // counters are per-view and unsynchronized; each worker reads only its
@@ -156,10 +157,10 @@ func (m *Manager) SetGCHook(hook func(GCResult)) { m.gcHook = hook }
 // manager aborts with a panic(ErrBudget) once it charges more than ops
 // operations (ops <= 0 leaves the count unlimited). Arming resets the
 // charged operation counter, so callers arm once per unit of work (per
-// fault). One
-// operation is charged per ITE or DiffAnd step — a machine-independent
-// proxy for the nodes an analysis builds and visits that stays
-// meaningful when the computed cache is shared and warm.
+// fault). One operation is charged per ITE, DiffAnd or BooleanDiff step
+// — a machine-independent proxy for the nodes an analysis builds and
+// visits that stays meaningful when the computed cache is shared and
+// warm.
 func (m *Manager) SetBudget(ops int64) {
 	m.budgetOps = ops
 	m.ops = 0
@@ -297,9 +298,8 @@ func (m *Manager) Views() int { return int(m.t.views.Load()) }
 // GC generations the shared store has gone through.
 func (m *Manager) TableEpoch() uint64 { return m.t.epoch.Load() }
 
-// setCacheBits pins the ITE cache to 1<<bits entries (the DiffAnd cache
-// to its usual fraction of that) and disables automatic growth (test
-// hook: tiny caches force collision evictions).
+// setCacheBits pins the computed cache to 1<<bits entries and disables
+// automatic growth (test hook: tiny caches force collision evictions).
 func (m *Manager) setCacheBits(bits uint) {
 	m.t.growMu.Lock()
 	m.t.noGrow = true
@@ -553,7 +553,7 @@ func (m *Manager) ite(f, g, h Ref, hits, misses *int64) Ref {
 		h ^= 1
 	}
 	cache := m.t.cache.Load()
-	if r, ok := cache.get(f, g, h); ok {
+	if r, ok := cache.get(f, g, h, noRef); ok {
 		*hits++
 		return r ^ neg
 	}
@@ -569,7 +569,7 @@ func (m *Manager) ite(f, g, h Ref, hits, misses *int64) Ref {
 	g0, g1 := m.cofactors(g, level)
 	h0, h1 := m.cofactors(h, level)
 	r := m.mk(level, m.ite(f0, g0, h0, hits, misses), m.ite(f1, g1, h1, hits, misses))
-	cache.put(f, g, h, r)
+	cache.put(f, g, h, noRef, r)
 	return r ^ neg
 }
 
@@ -632,6 +632,57 @@ func (m *Manager) Support(f Ref) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// SupportRows returns the supports of fs as packed bitsets over the
+// variable order positions, words 64-bit words per function: bit v of
+// rows[i*words:(i+1)*words] is set when fs[i] depends on the variable at
+// position v. One pass visits each node reachable from fs once, however
+// many of the functions share it, and charges no operations. Safe
+// alongside other views' inserts: it only reads nodes fs already reach.
+func (m *Manager) SupportRows(fs []Ref) (rows []uint64, words int) {
+	words = (len(m.t.names) + 63) / 64
+	p := supportPass{t: m.t, words: words, store: make([]uint64, words)}
+	for i := range m.t.shards {
+		// Every node fs reach was published with its chunk in place.
+		p.row[i] = make([]int32, len(*m.t.shards[i].dir.Load())<<chunkBits)
+	}
+	rows = make([]uint64, len(fs)*words)
+	for i, f := range fs {
+		r := p.visit(int32(f) >> 1)
+		copy(rows[i*words:(i+1)*words], p.store[int(r)*words:])
+	}
+	return rows, words
+}
+
+// supportPass memoizes one SupportRows call: row[shard][local] is the
+// index of a visited node's support in store (0, the terminal's empty
+// row, until visited).
+type supportPass struct {
+	t     *table
+	words int
+	row   [nShards][]int32
+	store []uint64
+}
+
+func (p *supportPass) visit(id int32) int32 {
+	if id == 0 {
+		return 0
+	}
+	slot := &p.row[id&shardMask][id>>shardBits]
+	if *slot != 0 {
+		return *slot
+	}
+	n := p.t.node(id)
+	lo, hi := p.visit(int32(n.low)>>1), p.visit(int32(n.high)>>1)
+	w := p.words
+	r := len(p.store) / w
+	for k := 0; k < w; k++ {
+		p.store = append(p.store, p.store[int(lo)*w+k]|p.store[int(hi)*w+k])
+	}
+	p.store[r*w+int(n.level>>6)] |= 1 << uint(n.level&63)
+	*slot = int32(r)
+	return int32(r)
 }
 
 // SupportSize returns the number of variables f depends on. The paper's

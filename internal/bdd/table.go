@@ -23,9 +23,10 @@
 //     relinking visits nodes in index order), so every walk ends.
 //
 // Node payloads live in immutable-once-published chunks reachable through
-// an atomically swapped chunk directory. The computed (ITE and DiffAnd)
-// caches are seqlock-validated direct-mapped arrays that readers probe
-// without locks and writers update with a CAS-guarded sequence protocol.
+// an atomically swapped chunk directory. The computed cache (ITE, DiffAnd
+// and BooleanDiff results) is a seqlock-validated direct-mapped array that
+// readers probe without locks and writers update with a CAS-guarded
+// sequence protocol.
 // Only simultaneous inserts that land in the same shard serialize.
 //
 // Every cross-goroutine handoff of a Ref passes through a synchronizing
@@ -300,8 +301,8 @@ func (t *table) maybeGrowCache(total int64) {
 }
 
 // adoptFrom replaces the table's contents in place with src's: shard guts,
-// node count, variable order and variable nodes. The computed caches are
-// reset (their ITE and DiffAnd entries name ids of the replaced store)
+// node count, variable order and variable nodes. The computed cache is
+// reset (its entries name ids of the replaced store)
 // and the epoch is bumped so every view sharing the table lazily drops
 // its sat-count cache. Callers must hold the table quiescent — no
 // concurrent readers or writers — which the campaign layer guarantees
@@ -322,11 +323,13 @@ func (t *table) adoptFrom(src *table) {
 	t.epoch.Add(1)
 }
 
-// opCache is the computed table: a direct-mapped cache of ITE results
-// (And/Or/Xor are normalized ITE triples, so one cache serves them all)
-// plus a smaller one of DiffAnd results, the only four-operand operation.
-// The two live in one struct so they are created, grown, reset (adoptFrom)
-// and pinned (setCacheBits) together. Entries are seqlock-validated: the
+// opCache is the computed table: one direct-mapped, lossy cache of
+// operation results keyed by up to four Refs. ITE triples (And/Or/Xor are
+// normalized ITE triples) fill three key slots and put noRef in the
+// fourth; DiffAnd, the only four-operand operation, fills all four;
+// BooleanDiff puts its operand and variable level in the first two and
+// noRef in both others. No operation issues noRef as an operand, so the
+// three key kinds never alias. Entries are seqlock-validated: the
 // sequence word is 0 when empty, odd while a writer is mid-update, and
 // advances by two per publish, so a reader that sees the same even
 // sequence before and after loading the payload words has a consistent
@@ -335,111 +338,52 @@ type opCache struct {
 	bits    uint
 	mask    uint32
 	entries []cacheEnt
-
-	diffMask uint32
-	diff     []diffEnt
 }
 
 type cacheEnt struct {
 	seq atomic.Uint32
-	a   atomic.Uint64 // f<<32 | g
-	b   atomic.Uint64 // h<<32 | res
-}
-
-type diffEnt struct {
-	seq atomic.Uint32
 	res atomic.Uint32
-	a   atomic.Uint64 // fa<<32 | fb
-	b   atomic.Uint64 // da<<32 | db
+	a   atomic.Uint64 // k0<<32 | k1
+	b   atomic.Uint64 // k2<<32 | k3
 }
 
-// diffCacheShift sizes the DiffAnd cache at 1/8 of the ITE cache's
-// entries, so it grows with the node count exactly as the ITE cache does.
-// The fraction trades speed on large tables against memory on small
-// ones. On the first 116 C1908s stuck-at faults, a cache at 1/2 the ITE
-// size charges 18.0 M ops, 1/8 charges 24.5 M and 1/64 charges 36.8 M,
-// and 1/64 also ran the two-worker campaign 10-20% slower. At 1/8, a
-// campaign over six small circuits peaks ~0.9 MB (1.5%) above the
-// kernel-less code.
-const diffCacheShift = 3
+// noRef fills the key slots an operation does not use. Refs are
+// non-negative, so no operand ever equals it.
+const noRef = Ref(-1)
 
 func newOpCache(bits uint) *opCache {
-	dbits := uint(0)
-	if bits > diffCacheShift {
-		dbits = bits - diffCacheShift
-	}
-	return &opCache{
-		bits: bits, mask: uint32(1)<<bits - 1, entries: make([]cacheEnt, 1<<bits),
-		diffMask: uint32(1)<<dbits - 1, diff: make([]diffEnt, 1<<dbits),
-	}
-}
-
-func iteHash(f, g, h Ref) uint32 {
-	x := uint32(f)*0x9e3779b1 ^ uint32(g)*0x85ebca6b ^ uint32(h)*0xc2b2ae35
-	x ^= x >> 14
-	return x
-}
-
-func (c *opCache) get(f, g, h Ref) (Ref, bool) {
-	e := &c.entries[iteHash(f, g, h)&c.mask]
-	s1 := e.seq.Load()
-	if s1 == 0 || s1&1 != 0 {
-		return 0, false
-	}
-	a := e.a.Load()
-	b := e.b.Load()
-	if e.seq.Load() != s1 {
-		return 0, false
-	}
-	if uint32(a>>32) != uint32(f) || uint32(a) != uint32(g) || uint32(b>>32) != uint32(h) {
-		return 0, false
-	}
-	return Ref(int32(uint32(b))), true
-}
-
-func (c *opCache) put(f, g, h, res Ref) {
-	e := &c.entries[iteHash(f, g, h)&c.mask]
-	s := e.seq.Load()
-	if s&1 != 0 {
-		return // a writer owns the slot; drop the insert
-	}
-	if !e.seq.CompareAndSwap(s, s+1) {
-		return
-	}
-	e.a.Store(uint64(uint32(f))<<32 | uint64(uint32(g)))
-	e.b.Store(uint64(uint32(h))<<32 | uint64(uint32(res)))
-	e.seq.Store(s + 2)
+	return &opCache{bits: bits, mask: uint32(1)<<bits - 1, entries: make([]cacheEnt, 1<<bits)}
 }
 
 func pair(x, y Ref) uint64 { return uint64(uint32(x))<<32 | uint64(uint32(y)) }
 
-func diffHash(fa, fb, da, db Ref) uint32 {
-	x := uint32(fa)*0x9e3779b1 ^ uint32(fb)*0x85ebca6b ^ uint32(da)*0xc2b2ae35 ^ uint32(db)*0x27d4eb2f
+func keyHash(k0, k1, k2, k3 Ref) uint32 {
+	x := uint32(k0)*0x9e3779b1 ^ uint32(k1)*0x85ebca6b ^ uint32(k2)*0xc2b2ae35 ^ uint32(k3)*0x27d4eb2f
 	x ^= x >> 15
 	return x
 }
 
-func (c *opCache) getDiff(fa, fb, da, db Ref) (Ref, bool) {
-	e := &c.diff[diffHash(fa, fb, da, db)&c.diffMask]
+func (c *opCache) get(k0, k1, k2, k3 Ref) (Ref, bool) {
+	e := &c.entries[keyHash(k0, k1, k2, k3)&c.mask]
 	s1 := e.seq.Load()
 	if s1 == 0 || s1&1 != 0 {
 		return 0, false
 	}
 	a, b, r := e.a.Load(), e.b.Load(), e.res.Load()
-	if e.seq.Load() != s1 || a != pair(fa, fb) || b != pair(da, db) {
+	if e.seq.Load() != s1 || a != pair(k0, k1) || b != pair(k2, k3) {
 		return 0, false
 	}
 	return Ref(int32(r)), true
 }
 
-func (c *opCache) putDiff(fa, fb, da, db, res Ref) {
-	e := &c.diff[diffHash(fa, fb, da, db)&c.diffMask]
+func (c *opCache) put(k0, k1, k2, k3, res Ref) {
+	e := &c.entries[keyHash(k0, k1, k2, k3)&c.mask]
 	s := e.seq.Load()
 	if s&1 != 0 || !e.seq.CompareAndSwap(s, s+1) {
 		return // a writer owns the slot; drop the insert
 	}
-	e.a.Store(pair(fa, fb))
-	e.b.Store(pair(da, db))
+	e.a.Store(pair(k0, k1))
+	e.b.Store(pair(k2, k3))
 	e.res.Store(uint32(res))
 	e.seq.Store(s + 2)
 }

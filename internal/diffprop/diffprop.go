@@ -103,6 +103,10 @@ type Engine struct {
 	// feedback screen for bridging faults.
 	reach *faults.Reachability
 
+	// support answers StuckAtPI's structural figures without a walk; it is
+	// filled on first use and, like reach, aliased by every Share view.
+	support *piSupport
+
 	// fullScan forces the reference full-gate-scan propagation instead of
 	// the cone-restricted worklist. The two are bit-identical; only the
 	// in-package differential tests set it, to use the scan as the
@@ -227,16 +231,18 @@ type Stats struct {
 	// and one per StuckAtPI call however many polarities it serves.
 	Analyses int
 	// GateEvaluations totals, per fault served, the gates whose difference
-	// function was computed (selective trace skipped the rest). A
-	// StuckAtPI walk is credited once per polarity, so the total equals
-	// the sum of the results' GatesEvaluated.
+	// function was computed (selective trace skipped the rest). StuckAtPI
+	// computes none but credits each polarity the count its result reports
+	// (the gates a walk from the input would evaluate), so the total
+	// equals the sum of the results' GatesEvaluated.
 	GateEvaluations int64
 	// GatesVisited totals, per fault served, the gates the propagation
 	// loop examined and GatesSkipped the gates it never touched: under the
 	// cone-restricted worklist only the seed sites' merged fan-out cone is
 	// visited, so Visited+Skipped = faults x gate count and Skipped
 	// measures the walk work the cone index saved over the full scan
-	// (which visits every gate, skipping none).
+	// (which visits every gate, skipping none). StuckAtPI walks no gate:
+	// each fault it serves counts every gate as skipped.
 	GatesVisited int64
 	GatesSkipped int64
 	// Rebuilds counts generational GC passes of the BDD manager.
@@ -288,8 +294,9 @@ func (e *Engine) Stats() Stats {
 
 // LastConeGates returns the number of gates the most recent analysis's
 // propagation loop visited: the fault's merged fan-out-cone size under
-// the worklist, the full gate count under the scan reference. This is the
-// per-fault sample behind the campaign cone-size histogram.
+// the worklist, the full gate count under the scan reference, zero after
+// StuckAtPI, which walks none. This is the per-fault sample behind the
+// campaign cone-size histogram.
 func (e *Engine) LastConeGates() int { return e.lastConeGates }
 
 // GateWalk returns the engine's cumulative propagation-walk footprint:
@@ -369,6 +376,7 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 	// worklist propagation, so it is built eagerly: one reverse-topological
 	// sweep here, aliased by every Share view thereafter.
 	e.reach = faults.NewReachability(work)
+	e.support = &piSupport{}
 	e.peakNodes = m.NodeCount()
 	return e, nil
 }
@@ -395,6 +403,7 @@ func (e *Engine) Share() *Engine {
 		synValid:     append([]bool(nil), e.synValid...),
 		varToInput:   e.varToInput,
 		reach:        e.reach,
+		support:      e.support,
 		faultBudget:  e.faultBudget,
 		recovery:     e.recovery,
 		shared:       e.shared,
@@ -471,8 +480,8 @@ func (e *Engine) Syndrome(net int) float64 {
 }
 
 // SetFaultBudget arms a per-analysis operation budget: every subsequent
-// fault query charges BDD operations (one per ITE or DiffAnd step) against
-// ops and panics with bdd.ErrBudget once it is exhausted. Zero disarms.
+// fault query charges BDD operations (one per ITE, DiffAnd or BooleanDiff
+// step) against ops and panics with bdd.ErrBudget once it is exhausted. Zero disarms.
 // After recovering from bdd.ErrBudget the caller must invoke Recover
 // before the next query.
 func (e *Engine) SetFaultBudget(ops int64) { e.faultBudget = ops }
@@ -659,14 +668,7 @@ func (e *Engine) propagate(netSeeds map[int]bdd.Ref, pinSeeds map[pinKey]bdd.Ref
 }
 
 // propagateSeeds runs the propagation and counts the complete test set.
-func (e *Engine) propagateSeeds(sd seeds) Result {
-	res := e.walk(sd)
-	e.count(&res)
-	return res
-}
-
-// walk runs the propagation, leaving the result's Detectability zero. It
-// dispatches between the cone-restricted worklist (the default) and the
+// It dispatches between the cone-restricted worklist (the default) and the
 // retained full-gate-scan reference. The two are bit-identical: a gate
 // outside the seed sites' merged fan-out cone can receive only zero input
 // differences (differences originate at seed sites and flow along fan-out
@@ -674,15 +676,19 @@ func (e *Engine) propagateSeeds(sd seeds) Result {
 // work there and the worklist may skip it entirely. Within the cone both
 // walk gates in ascending net id — the topological order Validate
 // guarantees — so they issue the same BDD operations in the same order.
-func (e *Engine) walk(sd seeds) Result {
+func (e *Engine) propagateSeeds(sd seeds) Result {
+	var res Result
 	if e.fullScan {
-		return e.propagateSeedsFullScan(sd)
+		res = e.propagateSeedsFullScan(sd)
+	} else {
+		res = e.propagateSeedsWorklist(sd)
 	}
-	return e.propagateSeedsWorklist(sd)
+	e.count(&res)
+	return res
 }
 
-// count fills a walked result's Detectability, the satisfying-set-count
-// phase of the analysis.
+// count fills a result's Detectability, the satisfying-set-count phase of
+// the analysis.
 func (e *Engine) count(res *Result) {
 	var clk time.Time
 	if e.phaseClock {
@@ -1126,24 +1132,48 @@ func (e *Engine) PinObservability(gate, pin int) bdd.Ref {
 }
 
 // StuckAtPI analyzes several stuck-at faults on one primary input — one
-// Result per entry of stuck (at least one), in order — from a single
-// propagation: the CATAPULT-style factoring of the paper's §3 contrast,
-// done where it is exact in every reported figure. Seeding bdd.True at
-// input x propagates the Boolean difference Obs_n = f_n|x=0 ⊕ f_n|x=1 to
-// every net n. Obs_n does not depend on x, so the stuck-at-0 difference
-// at n is x ∧ Obs_n and the stuck-at-1 difference ¬x ∧ Obs_n, and either
-// is non-zero exactly where Obs_n is. Each polarity's test set and
-// per-output differences are therefore its excitation ANDed with the
-// shared walk's, while ObservedPOs and GatesEvaluated are the walk's own
-// — bit-for-bit what StuckAt returns for each fault. The whole call is
-// one analysis: one begin, so one budget covers every polarity.
+// Result per entry of stuck (at least one), in order — without a gate
+// walk: the CATAPULT-style factoring of the paper's §3 contrast, done
+// where it is exact in every reported figure. Inverting input x changes
+// net n exactly on Obs_n = f_n|x=0 ⊕ f_n|x=1, the difference a
+// True-seeded propagation from x would carry to n, and Obs_n does not
+// depend on x: the stuck-at-0 difference at n is x ∧ Obs_n, the stuck-at-1
+// difference ¬x ∧ Obs_n, and either is non-zero exactly where x is in the
+// functional support of f_n. So each output's Obs comes from one
+// bdd.Manager.BooleanDiff of its good function (a shared computed cache
+// makes the outputs one memoized pass), each polarity's test set and
+// per-output differences are its excitation ANDed with them, and
+// ObservedPOs and GatesEvaluated — the outputs and two-input gates whose
+// (fan-in) functions depend on x — come from the nets' functional
+// supports: bit-for-bit what StuckAt returns for each fault. The whole
+// call is one analysis: one begin, so one budget covers every polarity.
 func (e *Engine) StuckAtPI(net int, stuck []bool) []Result {
 	if !e.Circuit.IsInput(net) || len(stuck) == 0 {
 		panic(fmt.Sprintf("diffprop: StuckAtPI of %d faults on net %s", len(stuck), e.Circuit.NetName(net)))
 	}
 	e.begin()
-	obs := e.walk(seeds{net: map[int]bdd.Ref{net: bdd.True}})
+	sup := e.supports()
+	var clk time.Time
+	if e.phaseClock {
+		clk = time.Now()
+		e.lastPhases.Build = clk.Sub(e.phaseStart)
+	}
 	m := e.m
+	c := e.Circuit
+	v := m.Level(e.good[net]) // an input's good function is its variable
+	obs := make([]bdd.Ref, len(c.Outputs))
+	var observed []int
+	union := bdd.False
+	for i, o := range c.Outputs {
+		if sup.has(o, v) {
+			obs[i] = m.BooleanDiff(e.good[o], v)
+			observed = append(observed, i)
+			union = m.Or(union, obs[i])
+		}
+	}
+	if e.phaseClock {
+		e.lastPhases.Propagate = time.Since(clk)
+	}
 	out := make([]Result, len(stuck))
 	for k, s := range stuck {
 		exc := e.good[net] // stuck-at-0 is excited wherever the input is 1
@@ -1151,24 +1181,75 @@ func (e *Engine) StuckAtPI(net int, stuck []bool) []Result {
 			exc = m.Not(exc)
 		}
 		res := Result{
-			PerPO:          make([]bdd.Ref, len(obs.PerPO)),
-			Complete:       m.And(exc, obs.Complete),
-			ObservedPOs:    append([]int(nil), obs.ObservedPOs...),
-			GatesEvaluated: obs.GatesEvaluated,
+			PerPO:          make([]bdd.Ref, len(obs)),
+			Complete:       m.And(exc, union),
+			ObservedPOs:    append([]int(nil), observed...),
+			GatesEvaluated: sup.evals[v],
 		}
-		for _, i := range obs.ObservedPOs {
-			res.PerPO[i] = m.And(exc, obs.PerPO[i])
+		for _, i := range observed {
+			res.PerPO[i] = m.And(exc, obs[i])
 		}
 		e.count(&res)
 		out[k] = res
 	}
-	// The walk's gate counters are credited to every fault it served, so
-	// they reconcile with the records; Analyses counts the one walk.
-	extra := int64(len(stuck) - 1)
-	e.gateEvals += int64(obs.GatesEvaluated) * extra
-	e.gatesVisited += int64(e.lastConeGates) * extra
-	e.gatesSkipped += int64(e.Circuit.NumGates()-e.lastConeGates) * extra
+	// No gate is walked: every fault served skips them all, and is
+	// credited the evaluations its record reports.
+	n := int64(len(stuck))
+	e.analyses++
+	e.gateEvals += int64(sup.evals[v]) * n
+	e.gatesSkipped += int64(c.NumGates()) * n
+	e.lastConeGates = 0
+	if nc := m.NodeCount(); nc > e.peakNodes {
+		e.peakNodes = nc
+	}
 	return out
+}
+
+// piSupport holds the structural facts StuckAtPI reads instead of walking
+// the gates: every net's functional support and, per variable, how many
+// gates a True-seeded walk from that input evaluates. Supports are
+// properties of the good functions, which no collection changes, so one
+// pass per shared table serves every view for the engine's lifetime.
+type piSupport struct {
+	once  sync.Once
+	words int
+	rows  []uint64 // rows[n*words:(n+1)*words]: variables net n depends on
+	evals []int    // evals[v]: two-input gates with a fan-in depending on v
+}
+
+// has reports whether net n's good function depends on variable v.
+func (p *piSupport) has(n, v int) bool {
+	return p.rows[n*p.words+v>>6]&(1<<uint(v&63)) != 0
+}
+
+// supports fills the shared support tables on first use. A walk seeded
+// at input x evaluates a two-input gate exactly when one of its fan-ins
+// carries a non-zero difference, i.e. depends on x.
+func (e *Engine) supports() *piSupport {
+	p := e.support
+	p.once.Do(func() {
+		p.rows, p.words = e.m.SupportRows(e.good)
+		p.evals = make([]int, e.m.NumVars())
+		fanin := make([]uint64, p.words)
+		for _, g := range e.Circuit.Gates {
+			switch g.Type {
+			case netlist.Input, netlist.Not, netlist.Buff:
+				continue
+			}
+			clear(fanin)
+			for _, f := range g.Fanin {
+				for w, row := range p.rows[f*p.words : (f+1)*p.words] {
+					fanin[w] |= row
+				}
+			}
+			for w, wbits := range fanin {
+				for ; wbits != 0; wbits &= wbits - 1 {
+					p.evals[w*64+bits.TrailingZeros64(wbits)]++
+				}
+			}
+		}
+	})
+	return p
 }
 
 // WitnessVector extracts one test vector (primary-input declaration

@@ -9,29 +9,22 @@ import (
 	"repro/internal/faults"
 )
 
-// TestPISiteUnitMatchesPerFault checks StuckAtPI against per-fault StuckAt
-// at every primary-input site of the catalog circuits (the C1908s list is
-// cut to its first 119 faults, the prefix the benchmarks run): each
-// polarity's Detectability bits, Complete, PerPO, ObservedPOs and
-// GatesEvaluated must be identical. Sites whose collapsed list keeps only
-// one polarity are checked through a one-entry call.
+// TestPISiteUnitMatchesPerFault checks StuckAtPI, which reads Boolean
+// differences and functional supports, against per-fault StuckAt, which
+// walks the gates, at every primary-input site of every catalog circuit:
+// each polarity's Detectability bits, Complete, PerPO, ObservedPOs and
+// GatesEvaluated must be identical, and the unit must report its phase
+// times. Sites whose collapsed list keeps only one polarity are checked
+// through a one-entry call.
 func TestPISiteUnitMatchesPerFault(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		max  int
-	}{
-		{"c17", 0}, {"fadd", 0}, {"c95s", 0}, {"alu181", 0},
-		{"c432s", 0}, {"c499s", 0}, {"c1908s", 119},
-	} {
-		e, err := New(circuits.MustGet(tc.name), nil)
+	for _, name := range []string{"c17", "fadd", "c95s", "alu181", "c432s", "c499s", "c1355s", "c1908s"} {
+		e, err := New(circuits.MustGet(name), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.EnablePhaseTiming(true)
 		w := e.Circuit
 		fs := faults.CheckpointStuckAts(w)
-		if tc.max > 0 && len(fs) > tc.max {
-			fs = fs[:tc.max]
-		}
 		// Polarities of every PI site, in list order.
 		var nets []int
 		sites := map[int][]faults.StuckAt{}
@@ -45,7 +38,7 @@ func TestPISiteUnitMatchesPerFault(t *testing.T) {
 			sites[f.Net] = append(sites[f.Net], f)
 		}
 		if len(nets) == 0 {
-			t.Fatalf("%s: no primary-input sites", tc.name)
+			t.Fatalf("%s: no primary-input sites", name)
 		}
 		pairs := 0
 		for _, net := range nets {
@@ -65,6 +58,10 @@ func TestPISiteUnitMatchesPerFault(t *testing.T) {
 			}
 			rebuilds := e.Rebuilds()
 			got := e.StuckAtPI(net, stuck)
+			// Traces attribute a unit's time through its phases.
+			if ph := e.LastPhases(); ph.Propagate <= 0 || ph.SatCount <= 0 {
+				t.Fatalf("%s: StuckAtPI left phases %+v", name, ph)
+			}
 			for k, f := range site {
 				want := e.StuckAt(f)
 				g := got[k]
@@ -73,15 +70,15 @@ func TestPISiteUnitMatchesPerFault(t *testing.T) {
 					!reflect.DeepEqual(g.PerPO, want.PerPO) ||
 					!reflect.DeepEqual(g.ObservedPOs, want.ObservedPOs) ||
 					g.GatesEvaluated != want.GatesEvaluated {
-					t.Fatalf("%s %v: shared walk %+v, per fault %+v", tc.name, f.Describe(w), g, want)
+					t.Fatalf("%s %v: shared walk %+v, per fault %+v", name, f.Describe(w), g, want)
 				}
 			}
 			if e.Rebuilds() != rebuilds {
-				t.Fatalf("%s: table compacted mid-comparison", tc.name)
+				t.Fatalf("%s: table compacted mid-comparison", name)
 			}
 		}
 		if pairs == 0 {
-			t.Fatalf("%s: no two-polarity PI site exercised", tc.name)
+			t.Fatalf("%s: no two-polarity PI site exercised", name)
 		}
 	}
 }
