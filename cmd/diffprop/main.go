@@ -57,29 +57,27 @@ var (
 
 func main() {
 	var (
-		circuit    = flag.String("circuit", "", "built-in circuit name (see cmd/benchgen -list)")
-		bench      = flag.String("bench", "", "path to an ISCAS-85 .bench netlist")
-		model      = flag.String("model", "stuckat", "fault model: stuckat, and, or")
-		max        = flag.Int("max", 0, "analyze at most this many faults (0 = all)")
-		maxBFs     = flag.Int("maxbfs", 1000, "bridging fault sample ceiling")
-		theta      = flag.Float64("theta", 0.3, "exponential distance parameter for sampling")
-		seed       = flag.Int64("seed", 1990, "sampling seed")
-		summary    = flag.Bool("summary", false, "print aggregates only")
-		dotOut     = flag.String("dot", "", "write the first analyzed fault's complete-test-set BDD as Graphviz DOT to this file")
-		estVectors = flag.Int("estvectors", 0, "random vectors behind each degraded estimate (0 = default)")
-		ckptPath   = flag.String("checkpoint", "", "persist finished records to this JSONL file as they complete")
-		resume     = flag.Bool("resume", false, "continue from the -checkpoint file, skipping already-persisted faults")
-		retryDegr  = flag.Bool("retry-degraded", false, "with -resume: re-attempt checkpointed Approximate/error/skipped faults instead of carrying them forward")
-		calibJSON  = flag.String("calibjson", "", "write the final calibration state (armed budget, retry multiplier, updates) as JSON to this file")
-		chaosSpec  = flag.String("chaos", "", "deterministic fault-injection spec, e.g. 'seed=7;budget:p=0.35;latency:p=0.2,d=2ms' (see internal/chaos)")
+		circuit   = flag.String("circuit", "", "built-in circuit name (see cmd/benchgen -list)")
+		bench     = flag.String("bench", "", "path to an ISCAS-85 .bench netlist")
+		model     = flag.String("model", "stuckat", "fault model: stuckat, and, or")
+		max       = flag.Int("max", 0, "analyze at most this many faults (0 = all)")
+		maxBFs    = flag.Int("maxbfs", 1000, "bridging fault sample ceiling")
+		theta     = flag.Float64("theta", 0.3, "exponential distance parameter for sampling")
+		seed      = flag.Int64("seed", 1990, "sampling seed")
+		summary   = flag.Bool("summary", false, "print aggregates only")
+		dotOut    = flag.String("dot", "", "write the first analyzed fault's complete-test-set BDD as Graphviz DOT to this file")
+		ckptPath  = flag.String("checkpoint", "", "persist finished records to this JSONL file as they complete")
+		resume    = flag.Bool("resume", false, "continue from the -checkpoint file, skipping already-persisted faults")
+		retryDegr = flag.Bool("retry-degraded", false, "with -resume: re-attempt checkpointed Approximate/error/skipped faults instead of carrying them forward")
+		calibJSON = flag.String("calibjson", "", "write the final calibration state (armed budget, retry multiplier, updates) as JSON to this file")
+		chaosSpec = flag.String("chaos", "", "deterministic fault-injection spec, e.g. 'seed=7;budget:p=0.35;latency:p=0.2,d=2ms' (see internal/chaos)")
 
 		shardProcs = flag.Int("shard-procs", 0, "supervisor: cap on concurrently running shard workers (0 = all shards at once)")
-		hbTimeout  = flag.Duration("hb-timeout", supervise.DefaultHeartbeatTimeout, "supervisor: SIGKILL a worker after this much protocol silence and re-dispatch its shard")
+		hbTimeout  = flag.Duration("hb-timeout", supervise.DefaultHeartbeatTimeout, "supervisor: SIGKILL a worker after this much protocol silence and re-dispatch its shard (workers heartbeat every min(1s, timeout/4))")
 		maxRestart = flag.Int("max-restarts", supervise.DefaultMaxRestarts, "supervisor: per-shard worker restarts before bisecting toward poison-fault quarantine (-1 = escalate on the first death)")
 
 		workerShard   = flag.String("worker-shard", "", "internal: run as a shard worker over global faults lo-hi; the supervisor owns stdout (JSONL protocol) and stdin (orphan watchdog)")
 		workerAttempt = flag.Int("worker-attempt", 0, "internal: this worker's restart attempt (gates one-shot chaos process points)")
-		workerHB      = flag.Duration("worker-hb", time.Second, "internal: worker heartbeat period")
 	)
 	cf := campaignflags.Register(flag.CommandLine, 1)
 	flag.Parse()
@@ -95,6 +93,10 @@ func main() {
 	}
 	if (*workerShard != "" || cf.Shards > 0) && *ckptPath == "" {
 		fatal(fmt.Errorf("-shards/-worker-shard need -checkpoint <file>"))
+	}
+	if *hbTimeout > 0 && *hbTimeout < time.Millisecond {
+		// The stall watchdog and the workers' heartbeat tick at fractions of it.
+		fatal(fmt.Errorf("-hb-timeout %v is below 1ms", *hbTimeout))
 	}
 	if cf.Shards > 0 && *resume {
 		fmt.Fprintln(os.Stderr, "diffprop: note: -resume is implicit under -shards (per-shard checkpoints in -shard-dir resume automatically)")
@@ -153,7 +155,6 @@ func main() {
 	}()
 
 	ccfg.Context = ctx
-	ccfg.FallbackVectors = *estVectors
 	ccfg.Obs = o
 	ccfg.Chaos = chaosCfg
 	if cf.Verbose {
@@ -169,7 +170,7 @@ func main() {
 		wm := &workerMode{
 			shard:    *workerShard,
 			attempt:  *workerAttempt,
-			hbEvery:  *workerHB,
+			hbEvery:  heartbeatPeriod(*hbTimeout),
 			model:    *model,
 			max:      *max,
 			maxBFs:   *maxBFs,
@@ -196,10 +197,8 @@ func main() {
 			flags: workerFlagSet{
 				circuit: *circuit, bench: *bench, model: *model,
 				max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
-				campaign:   ccfg,
-				estVectors: *estVectors,
-				chaosSpec:  *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
-				hbEvery: *workerHB,
+				campaign:  ccfg,
+				chaosSpec: *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
 			},
 		}
 	}
@@ -285,10 +284,19 @@ func main() {
 
 // truncateFaults applies -max, warning on stderr when it actually drops
 // faults: a truncated set silently changes every aggregate the report
-// prints.
+// prints. Shard workers cut with firstFaults instead, so a supervised
+// campaign warns once, from its supervisor.
 func truncateFaults[F any](fs []F, max int) []F {
-	if max > 0 && len(fs) > max {
+	kept := firstFaults(fs, max)
+	if len(kept) < len(fs) {
 		fmt.Fprintf(os.Stderr, "diffprop: warning: -max truncates the fault set from %d to %d faults; aggregates cover the truncated set only\n", len(fs), max)
+	}
+	return kept
+}
+
+// firstFaults is fs cut to its first max faults (max <= 0 keeps them all).
+func firstFaults[F any](fs []F, max int) []F {
+	if max > 0 && len(fs) > max {
 		return fs[:max]
 	}
 	return fs

@@ -43,11 +43,9 @@ type workerFlagSet struct {
 	theta          float64
 	seed           int64
 	campaign       analysis.CampaignConfig
-	estVectors     int
 	chaosSpec      string
 	logLevel       string
 	logJSON        bool
-	hbEvery        time.Duration
 }
 
 // supervisorMode is the -shards configuration.
@@ -64,44 +62,24 @@ type supervisorMode struct {
 	flags       workerFlagSet
 }
 
-// workerArgs rebuilds a worker command line for one lease. A degraded
-// lease sheds analysis threads and tightens the node watermark: survival
-// over parameter fidelity after repeated memory-pressure deaths (the
-// README's "Fault tolerance" section spells out the trade).
+// workerArgs rebuilds a worker command line for one lease: a pure
+// function of the campaign's flags and the lease's range, checkpoint and
+// attempt, so a relaunched worker runs exactly the campaign its first
+// launch ran.
 func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 	f := s.flags
-	c := f.campaign
-	if sh.Degrade > 0 {
-		if c.Workers <= 0 {
-			c.Workers = 2 // "one per CPU" is what just OOMed; start shedding from a known point
-		}
-		if c.Workers>>sh.Degrade >= 1 {
-			c.Workers >>= sh.Degrade
-		} else {
-			c.Workers = 1
-		}
-		if c.Recovery.NodeLimit <= 0 {
-			c.Recovery.NodeLimit = 1 << 20
-		}
-		if c.Recovery.NodeLimit>>sh.Degrade >= 1<<16 {
-			c.Recovery.NodeLimit >>= sh.Degrade
-		} else {
-			c.Recovery.NodeLimit = 1 << 16
-		}
-	}
 	args := []string{
 		"-worker-shard", sh.Range(),
 		"-worker-attempt", strconv.Itoa(sh.Attempt),
-		"-worker-hb", f.hbEvery.String(),
+		"-hb-timeout", s.hbTimeout.String(),
 		"-checkpoint", sh.Path,
 		"-model", f.model,
 		"-max", strconv.Itoa(f.max),
 		"-maxbfs", strconv.Itoa(f.maxBFs),
 		"-theta", strconv.FormatFloat(f.theta, 'g', -1, 64),
 		"-seed", strconv.FormatInt(f.seed, 10),
-		"-estvectors", strconv.Itoa(f.estVectors),
 	}
-	args = append(args, campaignflags.Args(c)...)
+	args = append(args, campaignflags.Args(f.campaign)...)
 	if f.circuit != "" {
 		args = append(args, "-circuit", f.circuit)
 	}
@@ -168,8 +146,8 @@ func (s *supervisorMode) supervise(ctx context.Context, store supervise.Store, t
 	})
 	sup := res.Supervision
 	if sup.Deaths > 0 || len(sup.Quarantined) > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: supervisor: %d worker death(s), %d restart(s), %d bisection(s), %d fault(s) quarantined, %d degraded relaunch(es)\n",
-			sup.Deaths, sup.Restarts, sup.Bisects, len(sup.Quarantined), sup.DegradedLaunches)
+		fmt.Fprintf(os.Stderr, "diffprop: supervisor: %d worker death(s), %d restart(s), %d bisection(s), %d fault(s) quarantined\n",
+			sup.Deaths, sup.Restarts, sup.Bisects, len(sup.Quarantined))
 	}
 	if err != nil {
 		fatal(fmt.Errorf("supervised campaign: %w", err))
@@ -263,6 +241,17 @@ type workerMode struct {
 	ccfg     analysis.CampaignConfig
 }
 
+// heartbeatPeriod is a worker's heartbeat tick under the supervisor's
+// stall timeout (-hb-timeout, forwarded to every worker): a quarter of
+// it, at most a second, so a healthy worker beats several times within
+// any timeout.
+func heartbeatPeriod(timeout time.Duration) time.Duration {
+	if timeout <= 0 {
+		timeout = supervise.DefaultHeartbeatTimeout
+	}
+	return min(time.Second, timeout/4)
+}
+
 // run analyzes the worker's shard and exits the process: 0 after a done
 // message, 1 on a fatal error, exitOrphaned when the supervisor's stdin
 // pipe reaches EOF. It never returns.
@@ -290,7 +279,7 @@ func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
 	)
 	switch strings.ToLower(m.model) {
 	case "stuckat", "sa":
-		fs := truncateFaults(faults.CheckpointStuckAts(w), m.max)
+		fs := firstFaults(faults.CheckpointStuckAts(w), m.max)
 		if hi > len(fs) {
 			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(fs)))
 		}
@@ -313,7 +302,7 @@ func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
 			kind = faults.WiredOR
 		}
 		set, _, _ := analysis.BridgingSet(w, kind, m.maxBFs, m.theta, m.seed)
-		set = truncateFaults(set, m.max)
+		set = firstFaults(set, m.max)
 		if hi > len(set) {
 			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(set)))
 		}

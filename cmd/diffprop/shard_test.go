@@ -10,6 +10,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/diffprop"
+	"repro/internal/supervise"
 )
 
 // diffpropBin is the real diffprop binary the integration tests exec —
@@ -130,6 +135,74 @@ func TestSupervisedBitIdenticalToSingleProcess(t *testing.T) {
 	if code != 0 || !strings.Contains(stderr, "18 of 18 faults already analyzed") {
 		t.Fatalf("merged checkpoint did not resume cleanly (exit %d):\n%s", code, stderr)
 	}
+
+	// Under -max the supervisor warns once for the whole campaign; its
+	// workers slice the same prefix silently.
+	ckpt = filepath.Join(dir, "truncated.jsonl")
+	_, stderr, code = runDiffprop(t, "-circuit", "c17", "-shards", "3", "-max", "12", "-checkpoint", ckpt, "-summary")
+	if code != 0 {
+		t.Fatalf("truncated supervised run exited %d:\n%s", code, stderr)
+	}
+	if n := strings.Count(stderr, "-max truncates the fault set"); n != 1 {
+		t.Errorf("-max warning printed %d times, want once:\n%s", n, stderr)
+	}
+	prefix := make(map[int]string)
+	for i := 0; i < 12; i++ {
+		prefix[i] = want[i]
+	}
+	identicalExcept(t, checkpointRecords(t, ckpt), prefix, nil)
+}
+
+// TestSubSecondHeartbeatTimeoutKillsNoHealthyWorker: workers heartbeat
+// at min(1s, -hb-timeout/4), so a sub-second stall timeout must not kill
+// workers that are busy analyzing. Each c499s shard runs well past the
+// timeout.
+func TestSubSecondHeartbeatTimeoutKillsNoHealthyWorker(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "hb.jsonl")
+	stdout, stderr, code := runDiffprop(t, "-circuit", "c499s", "-workers", "1", "-shards", "2",
+		"-hb-timeout", "500ms", "-checkpoint", ckpt, "-summary")
+	if code != 0 {
+		t.Fatalf("supervised run exited %d:\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, "worker death(s)") {
+		t.Fatalf("healthy workers were stall-killed under -hb-timeout 500ms:\n%s", stderr)
+	}
+	if !strings.Contains(stdout, "faults: 786") {
+		t.Errorf("summary missing the full fault count:\n%s", stdout)
+	}
+}
+
+// TestWorkerArgsDependOnlyOnAttempt: a relaunch runs the campaign its
+// first launch ran; the command lines of attempts 0 and 3 of one lease
+// differ only in -worker-attempt.
+func TestWorkerArgsDependOnlyOnAttempt(t *testing.T) {
+	s := &supervisorMode{
+		hbTimeout: 300 * time.Millisecond,
+		flags: workerFlagSet{
+			circuit: "c1908s", model: "stuckat", max: 60, maxBFs: 1000, theta: 0.3, seed: 1990,
+			campaign: analysis.CampaignConfig{
+				Workers:  2,
+				FaultOps: 100000,
+				Recovery: diffprop.Recovery{NodeLimit: 40000, RetryMultiplier: 16},
+			},
+			chaosSpec: "workerkill:i=42,rep=1",
+		},
+	}
+	sh := supervise.Shard{Lo: 20, Hi: 40, Path: "shard.jsonl"}
+	first := s.workerArgs(sh)
+	sh.Attempt = 3
+	again := s.workerArgs(sh)
+	if len(first) != len(again) {
+		t.Fatalf("argument counts differ:\n  %q\n  %q", first, again)
+	}
+	for i := range first {
+		if first[i] == again[i] {
+			continue
+		}
+		if i == 0 || first[i-1] != "-worker-attempt" || first[i] != "0" || again[i] != "3" {
+			t.Errorf("argument %d differs: %q vs %q", i, first[i], again[i])
+		}
+	}
 }
 
 func TestKillStormStaysBitIdentical(t *testing.T) {
@@ -212,5 +285,9 @@ func TestSupervisorFlagValidation(t *testing.T) {
 	_, stderr, code = runDiffprop(t, "-circuit", "c17", "-shards", "2", "-worker-shard", "0-3", "-checkpoint", "x.jsonl")
 	if code != 1 || !strings.Contains(stderr, "mutually exclusive") {
 		t.Fatalf("-shards with -worker-shard: exit %d, stderr:\n%s", code, stderr)
+	}
+	_, stderr, code = runDiffprop(t, "-circuit", "c17", "-shards", "1", "-hb-timeout", "3ns", "-checkpoint", filepath.Join(t.TempDir(), "x.jsonl"))
+	if code != 1 || !strings.Contains(stderr, "-hb-timeout 3ns is below 1ms") {
+		t.Fatalf("-hb-timeout 3ns: exit %d, stderr:\n%s", code, stderr)
 	}
 }

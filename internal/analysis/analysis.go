@@ -212,7 +212,7 @@ func RunStuckAt(e *diffprop.Engine, fs []faults.StuckAt) StuckAtStudy {
 	c := e.Circuit
 	toPO := c.MaxLevelsToPO()
 	levels := c.Levels()
-	fb := newFallback(0, 0)
+	fb := new(fallback)
 	study := stuckAtHeader(c)
 	study.Records = make([]StuckAtRecord, 0, len(fs))
 	for _, f := range fs {
@@ -227,7 +227,7 @@ func RunStuckAt(e *diffprop.Engine, fs []faults.StuckAt) StuckAtStudy {
 func RunBridging(e *diffprop.Engine, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool) BridgingStudy {
 	c := e.Circuit
 	toPO := c.MaxLevelsToPO()
-	fb := newFallback(0, 0)
+	fb := new(fallback)
 	study := bridgingHeader(c, kind, population, sampled)
 	study.Records = make([]BridgingRecord, 0, len(bs))
 	for _, b := range bs {

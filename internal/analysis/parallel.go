@@ -70,12 +70,6 @@ type CampaignConfig struct {
 	// watermark and one relaxed-budget retry (see diffprop.Recovery). The
 	// zero value keeps the historical degrade-immediately behavior.
 	Recovery diffprop.Recovery
-	// FallbackVectors and FallbackSeed parameterize the degradation
-	// estimate (zero selects DefaultFallbackVectors / DefaultFallbackSeed).
-	// The estimate is a pure function of (circuit, vectors, seed, fault),
-	// so degraded records are identical across schedules and resumes.
-	FallbackVectors int
-	FallbackSeed    int64
 	// Checkpoint, when non-nil, persists every finished record (by fault
 	// index) as it completes. A persist failure aborts the campaign.
 	Checkpoint *Checkpointer
@@ -547,7 +541,7 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 	if err != nil {
 		return StuckAtStudy{}, err
 	}
-	fb := newFallback(cfg.FallbackVectors, cfg.FallbackSeed)
+	fb := new(fallback)
 	instr := newCampaignInstr(cfg, "stuckat "+work.Name, len(fs), func(i int) string {
 		return fs[i].Describe(work)
 	})
@@ -621,7 +615,7 @@ func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults
 	if err != nil {
 		return BridgingStudy{}, err
 	}
-	fb := newFallback(cfg.FallbackVectors, cfg.FallbackSeed)
+	fb := new(fallback)
 	instr := newCampaignInstr(cfg, "bridging "+work.Name, len(bs), func(i int) string {
 		return bs[i].Describe(work)
 	})

@@ -48,30 +48,18 @@ const (
 )
 
 // fallback lazily builds the shared simulation estimator used to re-score
-// budget-blown faults. The estimator is fixed-seed and immutable once
+// budget-blown faults: DefaultFallbackVectors patterns from
+// DefaultFallbackSeed. The estimator is fixed-seed and immutable once
 // built, so every worker — and every resumed run — produces the same
 // estimate for the same fault.
 type fallback struct {
-	vectors int
-	seed    int64
-	once    sync.Once
-	est     *simulate.Estimator
-}
-
-// newFallback applies the package defaults to zero parameters.
-func newFallback(vectors int, seed int64) *fallback {
-	if vectors <= 0 {
-		vectors = DefaultFallbackVectors
-	}
-	if seed == 0 {
-		seed = DefaultFallbackSeed
-	}
-	return &fallback{vectors: vectors, seed: seed}
+	once sync.Once
+	est  *simulate.Estimator
 }
 
 func (fb *fallback) get(e *diffprop.Engine) *simulate.Estimator {
 	fb.once.Do(func() {
-		fb.est = simulate.NewEstimator(e.Circuit, fb.vectors, fb.seed)
+		fb.est = simulate.NewEstimator(e.Circuit, DefaultFallbackVectors, DefaultFallbackSeed)
 	})
 	return fb.est
 }

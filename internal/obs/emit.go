@@ -75,7 +75,7 @@ var kinds = [flightKindCount]kindSpec{
 	FlightSpawn: {msg: "worker launched", level: slog.LevelInfo, index: "shard_lo", a: "size", b: "attempt"},
 	FlightWorkerDeath: {msg: "worker died", level: slog.LevelWarn, label: "cause", index: "shard_lo", a: "exit", b: "done",
 		count: func(m *CampaignMetrics, _ Event) { m.SupervisorWorkerDeaths.Inc() }},
-	FlightRestart: {msg: "lease re-dispatched", level: slog.LevelInfo, label: "relaunch", index: "shard_lo", a: "attempt", b: "backoff_us",
+	FlightRestart: {msg: "lease re-dispatched", level: slog.LevelInfo, index: "shard_lo", a: "attempt", b: "backoff_us",
 		count: func(m *CampaignMetrics, _ Event) { m.SupervisorRestarts.Inc() }},
 	FlightBisect: {msg: "shard bisected", level: slog.LevelWarn, index: "shard_lo", a: "size", b: "split",
 		count: func(m *CampaignMetrics, _ Event) { m.SupervisorBisects.Inc() }},
@@ -107,7 +107,6 @@ func countFault(m *CampaignMetrics, ev Event) {
 var labelLevel = map[uint8]slog.Level{
 	FlightLabelApproximate: slog.LevelWarn,
 	FlightLabelError:       slog.LevelWarn,
-	FlightLabelDegraded:    slog.LevelWarn,
 	FlightLabelRescued:     slog.LevelInfo,
 }
 

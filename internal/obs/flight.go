@@ -68,8 +68,7 @@ const (
 	// or -1, b = faults the shard had completed).
 	FlightWorkerDeath
 	// FlightRestart records the supervisor re-dispatching a dead worker's
-	// lease (label = degraded when the relaunch sheds threads/node budget;
-	// worker = shard slot, index = shard lo, a = restart attempt,
+	// lease (worker = shard slot, index = shard lo, a = restart attempt,
 	// b = backoff µs).
 	FlightRestart
 	// FlightBisect records a repeatedly-fatal shard being split (index =
@@ -134,7 +133,6 @@ const (
 	FlightLabelExit
 	FlightLabelStall
 	FlightLabelOOM
-	FlightLabelDegraded
 	FlightLabelWorkerKill
 	FlightLabelHeartbeatStall
 	FlightLabelShardTear
@@ -164,7 +162,6 @@ var flightLabelNames = [flightLabelCount]string{
 	FlightLabelExit:           "exit",
 	FlightLabelStall:          "stall",
 	FlightLabelOOM:            "oom",
-	FlightLabelDegraded:       "degraded",
 	FlightLabelWorkerKill:     "workerkill",
 	FlightLabelHeartbeatStall: "hbstall",
 	FlightLabelShardTear:      "shardtear",

@@ -129,7 +129,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 		deathsPerRun = make([]int, len(dumps))
 		stallsPerRun = make([]int, len(dumps))
 		resumePerRun = make([]int, len(dumps))
-		degradedRe   int
 		bisectEvents []obs.FlightEvent
 		quarEvents   []obs.FlightEvent
 	)
@@ -185,9 +184,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 				rep.WorkerDeaths++
 			case "restart":
 				rep.Restarts++
-				if ev.Label == "degraded" {
-					degradedRe++
-				}
 			case "bisect":
 				bisectEvents = append(bisectEvents, ev)
 			case "quarantine":
@@ -522,8 +518,8 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 	if spawns+rep.WorkerDeaths+rep.Restarts+len(bisectEvents)+len(quarEvents) == 0 {
 		b.WriteString("No supervision events recorded (single-process run).\n")
 	} else {
-		fmt.Fprintf(&b, "- worker launches: %d\n- worker deaths: %d\n- lease re-dispatches: %d (%d degraded)\n- shard bisections: %d\n- quarantined faults: %d\n",
-			spawns, rep.WorkerDeaths, rep.Restarts, degradedRe, len(bisectEvents), len(quarEvents))
+		fmt.Fprintf(&b, "- worker launches: %d\n- worker deaths: %d\n- lease re-dispatches: %d\n- shard bisections: %d\n- quarantined faults: %d\n",
+			spawns, rep.WorkerDeaths, rep.Restarts, len(bisectEvents), len(quarEvents))
 		if len(deaths) > 0 {
 			b.WriteString("\n| shard lo | slot | cause | exit code | faults done |\n")
 			b.WriteString("|---------:|-----:|-------|----------:|------------:|\n")
@@ -555,11 +551,6 @@ func Analyze(dumps []*obs.FlightDump, opts Options) (*Report, error) {
 		rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
 			"poison fault: #%d quarantined after %d worker death(s) — reproduce with -worker-shard %d-%d to debug it in isolation",
 			ev.Index, ev.A, ev.Index, ev.Index+1))
-	}
-	if degradedRe > 0 {
-		rep.Anomalies = append(rep.Anomalies, fmt.Sprintf(
-			"memory-pressure degradation: %d relaunch(es) shed workers and node budget after repeated OOM kills — the shard size or node limit is too aggressive for this host",
-			degradedRe))
 	}
 	if len(quarterRates) == 4 && len(faultEvents) >= 40 {
 		maxRate := quarterRates[0]

@@ -118,10 +118,10 @@ func TestSchedulingSectionAndAnomaly(t *testing.T) {
 }
 
 // TestSupervisionSectionAndQuarantineAnomaly replays a supervised
-// campaign's event trail — spawns, a stall death, a degraded restart, a
+// campaign's event trail — spawns, a stall death, an OOM death, a
 // bisection and a poison-fault quarantine — and demands the Supervision
 // section render the lease history and the anomalies flag the poison
-// fault and the memory-pressure degradation.
+// fault, and nothing else.
 func TestSupervisionSectionAndQuarantineAnomaly(t *testing.T) {
 	fl := obs.NewFlightRecorder(0)
 	fl.Record(obs.FlightSpawn, obs.FlightLabelNone, 0, 0, 9, 0)
@@ -129,7 +129,7 @@ func TestSupervisionSectionAndQuarantineAnomaly(t *testing.T) {
 	fl.Record(obs.FlightWorkerDeath, obs.FlightLabelStall, 0, 0, -1, 3)
 	fl.Record(obs.FlightRestart, obs.FlightLabelNone, 0, 0, 1, 50_000)
 	fl.Record(obs.FlightWorkerDeath, obs.FlightLabelOOM, 0, 0, -1, 3)
-	fl.Record(obs.FlightRestart, obs.FlightLabelDegraded, 0, 0, 2, 100_000)
+	fl.Record(obs.FlightRestart, obs.FlightLabelNone, 0, 0, 2, 100_000)
 	fl.Record(obs.FlightWorkerDeath, obs.FlightLabelExit, 0, 0, 2, 3)
 	fl.Record(obs.FlightBisect, obs.FlightLabelNone, 0, 0, 9, 4)
 	fl.Record(obs.FlightQuarantine, obs.FlightLabelNone, 0, 7, 4, 0)
@@ -148,7 +148,7 @@ func TestSupervisionSectionAndQuarantineAnomaly(t *testing.T) {
 	for _, want := range []string{
 		"## Supervision",
 		"worker deaths: 3",
-		"lease re-dispatches: 2 (1 degraded)",
+		"lease re-dispatches: 2\n",
 		"| 0 | 0 | stall | - | 3 |",
 		"| 0 | 0 | oom | - | 3 |",
 		"| 0 | 0 | exit | 2 | 3 |",
@@ -159,17 +159,8 @@ func TestSupervisionSectionAndQuarantineAnomaly(t *testing.T) {
 			t.Errorf("supervision section missing %q:\n%s", want, rep.Markdown)
 		}
 	}
-	var poison, degraded bool
-	for _, a := range rep.Anomalies {
-		if strings.Contains(a, "poison fault: #7") {
-			poison = true
-		}
-		if strings.Contains(a, "memory-pressure degradation") {
-			degraded = true
-		}
-	}
-	if !poison || !degraded {
-		t.Fatalf("anomalies missing poison/degradation flags: %v", rep.Anomalies)
+	if len(rep.Anomalies) != 1 || !strings.Contains(rep.Anomalies[0], "poison fault: #7") {
+		t.Fatalf("anomalies = %v, want only the poison-fault flag", rep.Anomalies)
 	}
 
 	// A plain single-process dump renders the section's off state.

@@ -32,7 +32,7 @@ type Worker interface {
 
 // Launcher starts a worker subprocess for a shard lease. The supervisor
 // calls it for every launch — first attempts, restarts, bisected
-// children — with the lease's Attempt and Degrade already advanced.
+// children — with the lease's Attempt already advanced.
 type Launcher interface {
 	Launch(ctx context.Context, sh Shard) (Worker, error)
 }
@@ -46,7 +46,7 @@ type ExecLauncher struct {
 	// supervisor re-executing itself in worker mode).
 	Binary string
 	// Args builds the worker's argument list for a lease; it must encode
-	// the shard range, checkpoint path, attempt and degrade level.
+	// the shard range, checkpoint path and attempt.
 	Args func(sh Shard) []string
 	// Stderr receives the worker's stderr (nil = the supervisor's own).
 	Stderr io.Writer

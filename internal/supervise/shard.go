@@ -24,14 +24,6 @@ type Shard struct {
 	// also the restarted worker's chaos attempt (process-level injection
 	// points without rep= fire only at attempt 0).
 	Attempt int
-	// Degrade is the lease's degradation level: raised after consecutive
-	// memory-pressure deaths, it tells the launcher to shed analysis
-	// threads and tighten the node budget on the next launch.
-	Degrade int
-
-	// oomStreak counts consecutive SIGKILL deaths; the supervisor raises
-	// Degrade when it reaches the configured threshold.
-	oomStreak int
 }
 
 // Size is the shard's fault count.

@@ -18,9 +18,9 @@
 //     single-fault shard, which is then quarantined as an Err record
 //     instead of failing the campaign.
 //
-// Repeated SIGKILL deaths (the OOM killer's signature) additionally raise
-// the lease's degrade level, so the launcher's next attempt runs with
-// fewer analysis threads and a tighter node budget.
+// A SIGKILL death (the OOM killer's signature) is labelled apart from the
+// other deaths but takes the same path: a relaunch is always the lease's
+// own launch again, with only its Attempt advanced.
 package supervise
 
 import (
@@ -41,8 +41,6 @@ const (
 	DefaultMaxRestarts      = 2
 	DefaultBackoffBase      = 50 * time.Millisecond
 	DefaultBackoffMax       = 2 * time.Second
-	DefaultOOMDeaths        = 2
-	DefaultMaxDegrade       = 2
 )
 
 // Config tunes a Supervisor.
@@ -62,10 +60,6 @@ type Config struct {
 	MaxRestarts int
 	// BackoffBase and BackoffMax bound the restart backoff (0 = defaults).
 	BackoffBase, BackoffMax time.Duration
-	// OOMDeaths is how many consecutive SIGKILL deaths raise the lease's
-	// degrade level (0 = default), capped at MaxDegrade (0 = default).
-	OOMDeaths  int
-	MaxDegrade int
 
 	// ChildShard prepares a bisected child lease covering global faults
 	// [lo, hi) of parent's range: it must create the child's checkpoint
@@ -94,11 +88,9 @@ type Result struct {
 	// Quarantined lists poison faults isolated as Err records, by global
 	// index, in quarantine order.
 	Quarantined []int
-	// Deaths, Restarts, Bisects and DegradedLaunches count supervision
-	// events: worker deaths of any cause, lease re-dispatches, shard
-	// splits, and restarts that shed capacity after memory-pressure
-	// deaths.
-	Deaths, Restarts, Bisects, DegradedLaunches int
+	// Deaths, Restarts and Bisects count supervision events: worker
+	// deaths of any cause, lease re-dispatches and shard splits.
+	Deaths, Restarts, Bisects int
 }
 
 // death causes, mapped onto flight labels.
@@ -133,12 +125,6 @@ func New(cfg Config) *Supervisor {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = DefaultBackoffMax
-	}
-	if cfg.OOMDeaths <= 0 {
-		cfg.OOMDeaths = DefaultOOMDeaths
-	}
-	if cfg.MaxDegrade <= 0 {
-		cfg.MaxDegrade = DefaultMaxDegrade
 	}
 	return &Supervisor{cfg: cfg, done: make(map[int]int), total: cfg.Total}
 }
@@ -225,16 +211,6 @@ func (s *Supervisor) Run(ctx context.Context, shards []Shard, procs int) (Result
 			}
 			sh := ev.sh
 			sh.Attempt++
-			if ev.cause == causeOOM {
-				sh.oomStreak++
-				if sh.oomStreak >= s.cfg.OOMDeaths && sh.Degrade < s.cfg.MaxDegrade {
-					sh.Degrade++
-					sh.oomStreak = 0
-					res.DegradedLaunches++
-				}
-			} else {
-				sh.oomStreak = 0
-			}
 			if sh.Attempt > s.cfg.MaxRestarts {
 				if err := s.escalate(sh, &pending, &res); err != nil {
 					fail(err)
@@ -243,11 +219,7 @@ func (s *Supervisor) Run(ctx context.Context, shards []Shard, procs int) (Result
 			}
 			res.Restarts++
 			delay := s.backoff(sh.Attempt)
-			label := obs.FlightLabelNone
-			if sh.Degrade > ev.sh.Degrade {
-				label = obs.FlightLabelDegraded
-			}
-			s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightRestart, Label: label, Worker: ev.slot, Index: sh.Lo, A: int64(sh.Attempt), B: delay.Microseconds()})
+			s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightRestart, Worker: ev.slot, Index: sh.Lo, A: int64(sh.Attempt), B: delay.Microseconds()})
 			waiters++
 			go func(sh Shard) {
 				t := time.NewTimer(delay)
@@ -293,11 +265,7 @@ func (s *Supervisor) escalate(sh Shard, pending *[]Shard, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("supervise: bisecting shard %s: %w", sh.Range(), err)
 	}
-	for _, child := range []*Shard{&left, &right} {
-		child.Attempt = 0
-		child.Degrade = sh.Degrade
-		child.oomStreak = 0
-	}
+	left.Attempt, right.Attempt = 0, 0
 	res.Bisects++
 	s.cfg.Obs.Emit(obs.Event{Kind: obs.FlightBisect, Worker: -1, Index: sh.Lo, A: int64(sh.Size()), B: int64(mid)})
 	s.mu.Lock()

@@ -351,25 +351,31 @@ func TestHeartbeatStallKilledAndRestarted(t *testing.T) {
 	}
 }
 
-func TestConsecutiveOOMDeathsDegradeTheLease(t *testing.T) {
+// TestSigKillDeathsRelaunchTheSameLease: SIGKILL deaths (the OOM
+// killer's signature) take the path every other death takes. Each
+// relaunch is the lease's own launch again — same range, same checkpoint
+// — with only its Attempt advanced.
+func TestSigKillDeathsRelaunchTheSameLease(t *testing.T) {
 	var appended atomic.Int64
-	var attempts atomic.Int64
-	var degradeSeen atomic.Int64
+	var mu sync.Mutex
+	var launched []Shard
 	l := &scriptLauncher{}
 	l.run = func(sh Shard, w *fakeWorker) {
-		if attempts.Add(1) <= 2 {
+		mu.Lock()
+		launched = append(launched, sh)
+		n := len(launched)
+		mu.Unlock()
+		if n <= 2 {
 			// The OOM killer's signature: SIGKILL, no protocol goodbye.
 			w.finish(errors.New("oom killed"), true)
 			return
 		}
-		degradeSeen.Store(int64(sh.Degrade))
 		analyzeShard(t, sh, w, &appended, nil)
 	}
 	res, err := RunSharded(context.Background(), CampaignConfig{
 		Supervisor: Config{
 			Launcher:    l,
 			MaxRestarts: 5,
-			OOMDeaths:   2,
 			BackoffBase: time.Millisecond,
 		},
 		Store:  testStore{},
@@ -382,11 +388,18 @@ func TestConsecutiveOOMDeathsDegradeTheLease(t *testing.T) {
 	}
 	checkMergedRecords(t, res.Records, 4, nil)
 	s := res.Supervision
-	if s.Deaths != 2 || s.Restarts != 2 || s.DegradedLaunches != 1 {
-		t.Fatalf("supervision = %+v, want 2 oom deaths / 2 restarts / 1 degraded launch", s)
+	if s.Deaths != 2 || s.Restarts != 2 || s.Bisects != 0 {
+		t.Fatalf("supervision = %+v, want 2 oom deaths / 2 restarts / 0 bisections", s)
 	}
-	if degradeSeen.Load() != 1 {
-		t.Fatalf("third launch saw degrade level %d, want 1", degradeSeen.Load())
+	if len(launched) != 3 {
+		t.Fatalf("%d launches, want 3", len(launched))
+	}
+	for i, sh := range launched {
+		want := launched[0]
+		want.Attempt = i
+		if sh != want {
+			t.Fatalf("launch %d = %+v, want the first launch %+v with Attempt %d", i, sh, launched[0], i)
+		}
 	}
 }
 
