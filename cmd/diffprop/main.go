@@ -388,15 +388,17 @@ func writeCalibJSON(path, circuit string, stats analysis.CampaignStats) {
 // finishCampaign reports degradation/cancellation on stderr and exits
 // non-zero when any per-fault analysis failed. The degraded and error
 // lists come pre-sorted by fault index, so this output is deterministic
-// regardless of how the workers interleaved.
+// regardless of how the workers interleaved. The degraded list is read
+// off the records, not the run's counters, so faults degraded by shard
+// workers or by the run a checkpoint resumes are listed too.
 func finishCampaign(stats analysis.CampaignStats, errs []analysis.FaultError, degraded []analysis.DegradedFault) {
 	dumpFlight("completed")
 	shutdownObs()
 	if stats.Rescued > 0 {
 		fmt.Fprintf(os.Stderr, "diffprop: recovery ladder rescued %d of %d budget-blown fault(s) to exact results\n", stats.Rescued, stats.Retried)
 	}
-	if stats.Degraded > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) blew the per-fault budget; their detectabilities are random-vector estimates (marked ~):\n", stats.Degraded)
+	if len(degraded) > 0 {
+		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) blew the per-fault budget; their detectabilities are random-vector estimates (marked ~):\n", len(degraded))
 		const maxListed = 20
 		for i, d := range degraded {
 			if i == maxListed {

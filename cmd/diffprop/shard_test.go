@@ -153,6 +153,60 @@ func TestSupervisedBitIdenticalToSingleProcess(t *testing.T) {
 	identicalExcept(t, checkpointRecords(t, ckpt), prefix, nil)
 }
 
+// degradedList returns the "blew the per-fault budget" block of a run's
+// stderr: the header line and the indented fault lines under it.
+func degradedList(stderr string) string {
+	var b strings.Builder
+	in := false
+	for _, line := range strings.Split(stderr, "\n") {
+		switch {
+		case strings.Contains(line, "blew the per-fault budget"):
+			in = true
+		case in && !strings.HasPrefix(line, "  "):
+			return b.String()
+		}
+		if in {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestDegradedFaultsListedFromRecords: the degraded-fault list on stderr
+// is read off the records, so a sharded run, whose final study replays
+// the merged checkpoint, and a resume of a finished checkpoint list the
+// same faults as the in-process run.
+func TestDegradedFaultsListedFromRecords(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-circuit", "c95s", "-workers", "1", "-budget", "1", "-summary"}
+	run := func(extra ...string) (string, string) {
+		t.Helper()
+		stdout, stderr, code := runDiffprop(t, append(append([]string(nil), base...), extra...)...)
+		if code != 0 {
+			t.Fatalf("%v exited %d:\n%s", extra, code, stderr)
+		}
+		return stdout, stderr
+	}
+	ckpt := filepath.Join(dir, "single.jsonl")
+	wantOut, stderr := run("-checkpoint", ckpt)
+	want := degradedList(stderr)
+	if !strings.Contains(want, "204 fault(s) blew the per-fault budget") {
+		t.Fatalf("in-process run's degraded list:\n%s", stderr)
+	}
+	for name, extra := range map[string][]string{
+		"shards": {"-shards", "2", "-checkpoint", filepath.Join(dir, "sharded.jsonl"), "-shard-dir", filepath.Join(dir, "shards")},
+		"resume": {"-checkpoint", ckpt, "-resume"},
+	} {
+		stdout, stderr := run(extra...)
+		if stdout != wantOut {
+			t.Errorf("%s: stdout differs from the in-process run", name)
+		}
+		if got := degradedList(stderr); got != want {
+			t.Errorf("%s: degraded list\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
 // TestSubSecondHeartbeatTimeoutKillsNoHealthyWorker: workers heartbeat
 // at min(1s, -hb-timeout/4), so a sub-second stall timeout must not kill
 // workers that are busy analyzing. Each c499s shard runs well past the

@@ -9,14 +9,14 @@
 // and, once a warmup window fills, arms every worker engine with bounds
 // derived from the distribution's quantiles:
 //
-//	ops budget      = max(q(Quantile) x Headroom, MinOps)
-//	retry multiplier = clamp(2 x max/q(Quantile), 8, 128)
+//	ops budget      = max(q(calQuantile) x calHeadroom, calMinOps)
+//	retry multiplier = clamp(2 x max/q(calQuantile), calRetryMin, calRetryMax)
 //
 // The q99-with-headroom budget admits the observed population with a wide
 // margin, so only genuine outliers abort; the retry multiplier is sized
 // from the observed tail ratio so the ladder's single relaxed retry still
 // covers a fault ~2x worse than the worst seen. Re-derivation happens
-// every Refresh new samples over a sliding window of recent costs.
+// every calRefresh new samples over a sliding window of recent costs.
 //
 // Published bounds are monotone non-decreasing for the campaign's
 // lifetime: a re-calibration can raise the budget as harder faults
@@ -35,13 +35,28 @@ import (
 	"repro/internal/diffprop"
 )
 
-// Calibration defaults (see Calibration).
 const (
-	DefaultCalibrationWarmup   = 32
-	DefaultCalibrationQuantile = 0.99
-	DefaultCalibrationHeadroom = 16.0
-	DefaultCalibrationRefresh  = 256
-	DefaultCalibrationMinOps   = 4096
+	// calWarmup is the number of exact-fault cost samples collected
+	// before the first budget is armed; until then faults run under the
+	// campaign's base budget (usually unlimited). 32 is enough for a
+	// stable upper quantile without postponing protection.
+	calWarmup = 32
+	// calQuantile is the op-cost quantile the budget is derived from: the
+	// budget should admit essentially the whole observed population and
+	// abort only genuine outliers.
+	calQuantile = 0.99
+	// calHeadroom multiplies the quantile into the armed budget:
+	// per-fault costs spread over orders of magnitude, so a wide margin
+	// costs little (op budgets bound damage, not throughput) and keeps
+	// faults moderately above the observed range exact instead of
+	// degraded.
+	calHeadroom = 16.0
+	// calRefresh re-derives the bounds every calRefresh new samples.
+	// Published bounds only ever ratchet upward.
+	calRefresh = 256
+	// calMinOps floors the armed budget, so tiny circuits with
+	// single-digit per-fault costs don't arm absurdly small budgets.
+	calMinOps = 4096
 
 	// calRetryMin/-Max clamp the derived retry multiplier: at least the
 	// historical hand-tuned value, at most a bound that keeps the relaxed
@@ -53,64 +68,14 @@ const (
 	calWindow = 4096
 )
 
-// Calibration configures budget self-calibration on a campaign: learn the
-// per-circuit op-cost distribution from completed exact faults, then arm
-// per-fault budgets and the retry ladder from its quantiles instead of
-// hand-tuned flags. The zero value disables calibration.
-type Calibration struct {
-	// Enabled turns calibration on.
-	Enabled bool
-	// Warmup is the number of exact-fault cost samples collected before
-	// the first budget is armed; until then faults run under the
-	// campaign's base budget (usually unlimited). Default 32 — enough for
-	// a stable upper quantile without postponing protection.
-	Warmup int
-	// Quantile is the op-cost quantile the budget is derived from.
-	// Default 0.99: the budget should admit essentially the whole
-	// observed population and abort only genuine outliers.
-	Quantile float64
-	// Headroom multiplies the quantile into the armed budget. Default 16:
-	// per-fault costs spread over orders of magnitude, so a wide margin
-	// costs little (op budgets bound damage, not throughput) and keeps
-	// faults moderately above the observed range exact instead of
-	// degraded.
-	Headroom float64
-	// Refresh re-derives the bounds every Refresh new samples (default
-	// 256). Published bounds only ever ratchet upward.
-	Refresh int
-	// MinOps floors the armed budget (default 4096), so tiny circuits
-	// with single-digit per-fault costs don't arm absurdly small budgets.
-	MinOps int64
-}
-
-// withDefaults fills zero fields.
-func (c Calibration) withDefaults() Calibration {
-	if c.Warmup <= 0 {
-		c.Warmup = DefaultCalibrationWarmup
-	}
-	if c.Quantile <= 0 || c.Quantile > 1 {
-		c.Quantile = DefaultCalibrationQuantile
-	}
-	if c.Headroom <= 1 {
-		c.Headroom = DefaultCalibrationHeadroom
-	}
-	if c.Refresh <= 0 {
-		c.Refresh = DefaultCalibrationRefresh
-	}
-	if c.MinOps <= 0 {
-		c.MinOps = DefaultCalibrationMinOps
-	}
-	return c
-}
-
 // calibrator is the shared calibration state of one campaign run. Workers
 // feed it completed-fault costs (observe) and adopt published bounds
 // between faults (apply); the generation counter lets the adopt check be
 // a single atomic load on the hot path.
 type calibrator struct {
-	cfg   Calibration
-	base  diffprop.Recovery // campaign recovery config the armed ladder extends
-	instr *campaignInstr
+	warmup, refresh int               // calWarmup and calRefresh; unit tests shorten them
+	base            diffprop.Recovery // campaign recovery config the armed ladder extends
+	instr           *campaignInstr
 
 	gen atomic.Uint64 // bumped on every publication; 0 = nothing armed yet
 
@@ -127,14 +92,15 @@ type calibrator struct {
 // newCalibrator builds the calibrator for one campaign, or nil when
 // calibration is off.
 func newCalibrator(cfg CampaignConfig, instr *campaignInstr) *calibrator {
-	if !cfg.Calibrate.Enabled {
+	if !cfg.Calibrate {
 		return nil
 	}
 	return &calibrator{
-		cfg:    cfg.Calibrate.withDefaults(),
-		base:   cfg.Recovery,
-		budget: cfg.FaultOps, // base budget is the floor the ratchet starts from
-		instr:  instr,
+		warmup:  calWarmup,
+		refresh: calRefresh,
+		base:    cfg.Recovery,
+		budget:  cfg.FaultOps, // base budget is the floor the ratchet starts from
+		instr:   instr,
 	}
 }
 
@@ -156,7 +122,7 @@ func (cal *calibrator) observe(outcome faultOutcome, ops int64) {
 	cal.total++
 	cal.pending++
 	armed := cal.gen.Load() > 0
-	if (!armed && cal.total >= cal.cfg.Warmup) || (armed && cal.pending >= cal.cfg.Refresh) {
+	if (!armed && cal.total >= cal.warmup) || (armed && cal.pending >= cal.refresh) {
 		cal.deriveLocked()
 	}
 }
@@ -167,14 +133,14 @@ func (cal *calibrator) deriveLocked() {
 	cal.pending = 0
 	sorted := append([]int64(nil), cal.window...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	qi := int(float64(len(sorted)) * cal.cfg.Quantile)
+	qi := int(float64(len(sorted)) * calQuantile)
 	if qi >= len(sorted) {
 		qi = len(sorted) - 1
 	}
 	q, tail := sorted[qi], sorted[len(sorted)-1]
-	budget := int64(float64(q) * cal.cfg.Headroom)
-	if budget < cal.cfg.MinOps {
-		budget = cal.cfg.MinOps
+	budget := int64(float64(q) * calHeadroom)
+	if budget < calMinOps {
+		budget = calMinOps
 	}
 	retry := 2 * float64(tail) / float64(q)
 	if retry < calRetryMin {

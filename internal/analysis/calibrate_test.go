@@ -16,12 +16,11 @@ import (
 // never shrink the budget below one a worker may already have armed — and
 // that apply arms exactly the published bounds on an engine.
 func TestCalibratorMonotoneRatchet(t *testing.T) {
-	cal := newCalibrator(CampaignConfig{
-		Calibrate: Calibration{Enabled: true, Warmup: 4, Refresh: 4},
-	}, nil)
+	cal := newCalibrator(CampaignConfig{Calibrate: true}, nil)
 	if cal == nil {
 		t.Fatal("enabled calibration built no calibrator")
 	}
+	cal.warmup, cal.refresh = 4, 4
 	feed := func(ops int64, n int) {
 		for i := 0; i < n; i++ {
 			cal.observe(outcomeExact, ops)
@@ -33,7 +32,7 @@ func TestCalibratorMonotoneRatchet(t *testing.T) {
 	if updates != 1 {
 		t.Fatalf("updates = %d after warmup, want 1", updates)
 	}
-	wantBudget := int64(1000 * DefaultCalibrationHeadroom)
+	wantBudget := int64(1000 * calHeadroom)
 	if budget != wantBudget {
 		t.Fatalf("budget = %d, want q99 x headroom = %d", budget, wantBudget)
 	}
@@ -78,8 +77,9 @@ func TestCalibratorMonotoneRatchet(t *testing.T) {
 func TestCalibrationPinnedRetryWins(t *testing.T) {
 	cal := newCalibrator(CampaignConfig{
 		Recovery:  diffprop.Recovery{RetryMultiplier: 3},
-		Calibrate: Calibration{Enabled: true, Warmup: 2, Refresh: 2},
+		Calibrate: true,
 	}, nil)
+	cal.warmup, cal.refresh = 2, 2
 	for i := 0; i < 4; i++ {
 		cal.observe(outcomeExact, 500)
 	}
@@ -109,7 +109,7 @@ func TestCalibrationZeroDegraded(t *testing.T) {
 			}
 			study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
 				Workers:   4,
-				Calibrate: Calibration{Enabled: true, Warmup: 16, Refresh: 32},
+				Calibrate: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -139,10 +139,15 @@ func TestCalibrationZeroDegraded(t *testing.T) {
 // must never race or lose records.
 func TestCalibrationUnderChaosStorm(t *testing.T) {
 	c := circuits.MustGet("c95s")
-	fs := faults.CheckpointStuckAts(c.Decompose2())
+	// Four passes over the fault list cross the refresh window three
+	// times, so re-derivations run while workers re-arm.
+	var fs []faults.StuckAt
+	for pass := 0; pass < 4; pass++ {
+		fs = append(fs, faults.CheckpointStuckAts(c.Decompose2())...)
+	}
 	study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
 		Workers:   4,
-		Calibrate: Calibration{Enabled: true, Warmup: 8, Refresh: 8},
+		Calibrate: true,
 		Chaos: &chaos.Config{Seed: 13, Rules: []chaos.Rule{
 			{Point: chaos.PointBudget, Prob: 0.25},
 			{Point: chaos.PointNodeLimit, Prob: 0.1},

@@ -89,12 +89,12 @@ type CampaignConfig struct {
 	// per-point rules (see chaos.Config). Nil — the default — compiles to
 	// literal no-ops on the per-fault hot path.
 	Chaos *chaos.Config
-	// Calibrate configures budget self-calibration: the per-fault op
+	// Calibrate turns on budget self-calibration: the per-fault op
 	// budget and the ladder's retry multiplier are learned from the
-	// op-cost distribution of the first Calibration.Warmup exact faults
-	// (and re-derived as the campaign progresses) instead of hand-tuned
-	// FaultOps/Recovery values. The zero value disables calibration.
-	Calibrate Calibration
+	// op-cost distribution of the first 32 exact faults (and re-derived
+	// as the campaign progresses) instead of hand-tuned FaultOps/Recovery
+	// values.
+	Calibrate bool
 	// Name labels the campaign in heartbeats and logs. Empty selects a
 	// default derived from the fault model and circuit name.
 	Name string

@@ -13,9 +13,9 @@
 // statistics, sat-count cache, logger) over a lock-striped concurrent
 // table, and Share hands out additional views so many workers can build
 // on one node set at once — see table.go for the concurrency protocol.
-// Quantification, composition, exact satisfying-set counting and
-// manager-to-manager transfer (used for generational garbage collection
-// and for reordering into a new manager) ride on the same core.
+// Exact satisfying-set counting and manager-to-manager transfer (used
+// for in-place garbage collection and for sifting into a new manager)
+// ride on the same core.
 //
 // A Manager owns a set of ordered variables and (a view of) a node table.
 // Functions are referred to by Ref values that are only meaningful within
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
 )
 
 // ErrBudget is the sentinel raised — as a panic value, from arbitrarily
@@ -49,9 +48,9 @@ var ErrNodeLimit = errors.New("bdd: node-count watermark exceeded")
 
 // Ref identifies a BDD function within a Manager's table: a node id in
 // the upper bits and the complement tag in bit 0. Refs are stable for the
-// lifetime of the table (there is no in-place mutation; reclamation is
-// done by rebuilding into a fresh manager, see Rebuild, or in place, see
-// GC). Complementing a function is Ref^1 and allocates nothing.
+// lifetime of the table (there is no in-place mutation; reclamation
+// adopts a rebuilt table in place, see GC). Complementing a function is
+// Ref^1 and allocates nothing.
 type Ref int32
 
 // Terminal functions, shared across managers: one terminal node (id 0)
@@ -70,9 +69,9 @@ const (
 
 // CacheStats counts hits and misses of the computed cache, attributed to
 // the operation family that issued them: And/Or/Xor/DiffAnd/BooleanDiff
-// feed the Apply counters, Ite/Compose/VectorCompose the Ite counters. Not is free
-// under complement edges and never probes a cache, so its counters stay
-// zero (kept for layout compatibility with aggregated historical stats). The
+// feed the Apply counters, Ite the Ite counters. Not is free under
+// complement edges and never probes a cache, so its counters stay zero
+// (kept for layout compatibility with aggregated historical stats). The
 // counters are per-view and unsynchronized; each worker reads only its
 // own.
 type CacheStats struct {
@@ -82,7 +81,7 @@ type CacheStats struct {
 }
 
 // Add accumulates other into s (used to aggregate across managers, e.g.
-// over generational rebuilds or parallel workers).
+// over garbage collections or parallel workers).
 func (s *CacheStats) Add(other CacheStats) {
 	s.ApplyHits += other.ApplyHits
 	s.ApplyMisses += other.ApplyMisses
@@ -353,14 +352,6 @@ func (m *Manager) VarNamed(name string) Ref {
 	return m.Var(i)
 }
 
-// Const returns the terminal for the given boolean.
-func Const(b bool) Ref {
-	if b {
-		return True
-	}
-	return False
-}
-
 // IsConst reports whether f is a terminal.
 func IsConst(f Ref) bool { return f&^1 == 0 }
 
@@ -431,38 +422,8 @@ func (m *Manager) Nor(f, g Ref) Ref { return m.Not(m.Or(f, g)) }
 // Xnor returns ¬(f ⊕ g).
 func (m *Manager) Xnor(f, g Ref) Ref { return m.Not(m.Xor(f, g)) }
 
-// Implies returns ¬f ∨ g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.Or(m.Not(f), g) }
-
 // Diff returns f ∧ ¬g (set difference).
 func (m *Manager) Diff(f, g Ref) Ref { return m.And(f, m.Not(g)) }
-
-// AndN folds And over its arguments (True for no arguments).
-func (m *Manager) AndN(fs ...Ref) Ref {
-	acc := True
-	for _, f := range fs {
-		acc = m.And(acc, f)
-	}
-	return acc
-}
-
-// OrN folds Or over its arguments (False for no arguments).
-func (m *Manager) OrN(fs ...Ref) Ref {
-	acc := False
-	for _, f := range fs {
-		acc = m.Or(acc, f)
-	}
-	return acc
-}
-
-// XorN folds Xor over its arguments (False for no arguments).
-func (m *Manager) XorN(fs ...Ref) Ref {
-	acc := False
-	for _, f := range fs {
-		acc = m.Xor(acc, f)
-	}
-	return acc
-}
 
 // Ite returns if-then-else: (f ∧ g) ∨ (¬f ∧ h).
 func (m *Manager) Ite(f, g, h Ref) Ref {
@@ -601,39 +562,6 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	return f == True
 }
 
-// Size reports the number of distinct nodes reachable from f, including
-// the terminal. A function and its complement share every node, so
-// Size(f) == Size(Not(f)).
-func (m *Manager) Size(f Ref) int { return m.TotalSize(f) }
-
-// Support returns the sorted order positions of the variables f depends on.
-func (m *Manager) Support(f Ref) []int {
-	seen := map[int32]struct{}{}
-	vars := map[int32]struct{}{}
-	var walk func(Ref)
-	walk = func(r Ref) {
-		id := int32(r) >> 1
-		if id == 0 {
-			return
-		}
-		if _, ok := seen[id]; ok {
-			return
-		}
-		seen[id] = struct{}{}
-		n := m.t.node(id)
-		vars[n.level] = struct{}{}
-		walk(n.low)
-		walk(n.high)
-	}
-	walk(f)
-	out := make([]int, 0, len(vars))
-	for v := range vars {
-		out = append(out, int(v))
-	}
-	sort.Ints(out)
-	return out
-}
-
 // SupportRows returns the supports of fs as packed bitsets over the
 // variable order positions, words 64-bit words per function: bit v of
 // rows[i*words:(i+1)*words] is set when fs[i] depends on the variable at
@@ -685,11 +613,6 @@ func (p *supportPass) visit(id int32) int32 {
 	return int32(r)
 }
 
-// SupportSize returns the number of variables f depends on. The paper's
-// Figure 5 classification uses SupportSize == 0 at a bridging-fault site to
-// identify bridging faults with stuck-at (constant) behavior.
-func (m *Manager) SupportSize(f Ref) int { return len(m.Support(f)) }
-
 // String renders a short human-readable description of f.
 func (m *Manager) String(f Ref) string {
 	switch f {
@@ -698,5 +621,5 @@ func (m *Manager) String(f Ref) string {
 	case True:
 		return "true"
 	}
-	return fmt.Sprintf("bdd(%s; %d nodes)", m.t.names[m.levelOf(f)], m.Size(f))
+	return fmt.Sprintf("bdd(%s; %d nodes)", m.t.names[m.levelOf(f)], m.TotalSize(f))
 }

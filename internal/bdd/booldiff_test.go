@@ -2,13 +2,54 @@ package bdd
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// restrict returns the cofactor f|v=val of f at order position v. It
+// memoizes per node id: restriction commutes with complement, so one
+// entry serves both polarities.
+func restrict(m *Manager, f Ref, v int, val bool) Ref {
+	memo := map[int32]Ref{}
+	var rec func(Ref) Ref
+	rec = func(f Ref) Ref {
+		id := int32(f) >> 1
+		n := m.t.node(id)
+		if n.level > int32(v) {
+			// Terminals have terminalLevel, so this also covers constants.
+			return f
+		}
+		c := f & 1
+		if r, ok := memo[id]; ok {
+			return r ^ c
+		}
+		var r Ref
+		switch {
+		case n.level < int32(v):
+			r = m.mk(n.level, rec(n.low), rec(n.high))
+		case val:
+			r = n.high
+		default:
+			r = n.low
+		}
+		memo[id] = r
+		return r ^ c
+	}
+	return rec(f)
+}
 
 // boolDiffOracle is the definition BooleanDiff computes: the XOR of the
 // two cofactors.
 func boolDiffOracle(m *Manager, f Ref, v int) Ref {
-	return m.Xor(m.Restrict(f, v, false), m.Restrict(f, v, true))
+	return m.Xor(restrict(m, f, v, false), restrict(m, f, v, true))
+}
+
+// shiftVars renames every variable i of f to variable i+by.
+func shiftVars(m *Manager, f Ref, by int) Ref {
+	if IsConst(f) {
+		return f
+	}
+	return m.Ite(m.Var(m.Level(f)+by), shiftVars(m, m.High(f), by), shiftVars(m, m.Low(f), by))
 }
 
 // TestBooleanDiffMatchesRestrictXor checks the recursion against the
@@ -24,8 +65,7 @@ func TestBooleanDiffMatchesRestrictXor(t *testing.T) {
 		// varied levels and some variables lie above every root.
 		lo := rng.Intn(6)
 		f := randomFunc(m, rng, 4, 25)
-		pool = append(pool, m.Compose(m.Compose(m.Compose(m.Compose(f,
-			3, m.Var(lo+3)), 2, m.Var(lo+2)), 1, m.Var(lo+1)), 0, m.Var(lo)))
+		pool = append(pool, shiftVars(m, f, lo))
 	}
 	var above, at, below int
 	for _, f := range pool {
@@ -132,8 +172,34 @@ func TestMixedCacheTrafficTinyCache(t *testing.T) {
 	}
 }
 
+// support returns the sorted order positions of the variables f depends
+// on.
+func support(m *Manager, f Ref) []int {
+	seen := map[int32]bool{}
+	vars := map[int32]bool{}
+	var walk func(Ref)
+	walk = func(r Ref) {
+		id := int32(r) >> 1
+		if id == 0 || seen[id] {
+			return
+		}
+		seen[id] = true
+		n := m.t.node(id)
+		vars[n.level] = true
+		walk(n.low)
+		walk(n.high)
+	}
+	walk(f)
+	out := make([]int, 0, len(vars))
+	for v := range vars {
+		out = append(out, int(v))
+	}
+	sort.Ints(out)
+	return out
+}
+
 // TestSupportRowsMatchesSupport checks the packed supports against
-// Support on random functions, past one word of variables.
+// support on random functions, past one word of variables.
 func TestSupportRowsMatchesSupport(t *testing.T) {
 	m := NewAnon(100)
 	rng := rand.New(rand.NewSource(17))
@@ -148,12 +214,12 @@ func TestSupportRowsMatchesSupport(t *testing.T) {
 	}
 	for i, f := range fs {
 		want := make([]uint64, words)
-		for _, v := range m.Support(f) {
+		for _, v := range support(m, f) {
 			want[v/64] |= 1 << uint(v%64)
 		}
 		for w := range want {
 			if rows[i*words+w] != want[w] {
-				t.Fatalf("function %d word %d: row %#x, Support %#x", i, w, rows[i*words+w], want[w])
+				t.Fatalf("function %d word %d: row %#x, support %#x", i, w, rows[i*words+w], want[w])
 			}
 		}
 	}

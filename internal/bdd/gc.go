@@ -1,16 +1,14 @@
 // In-place generational garbage collection.
 //
-// Rebuild already implements generational GC by copying live roots into a
-// fresh manager, but it hands back a *new* Manager — callers must rebind
-// every reference they hold. GC performs the same live-root copy and then
-// adopts the fresh tables into the receiver's shared table in place, so
-// the Manager identity (and its armed budget, logger and cumulative
-// statistics) survives collection — and, when the table is shared, every
-// other view sees the collected store as soon as the adoption completes.
-// Callers sharing the table must hold it quiescent around GC (the
-// campaign layer's analysis lock); refs held by any view are invalidated
-// and per-view sat caches are dropped lazily via the table epoch. GC never
-// changes the variable order.
+// GC copies the live roots into a fresh manager under the same variable
+// order and then adopts the fresh tables into the receiver's shared table
+// in place, so the Manager identity (and its armed budget, logger and
+// cumulative statistics) survives collection — and, when the table is
+// shared, every other view sees the collected store as soon as the
+// adoption completes. Callers sharing the table must hold it quiescent
+// around GC (the campaign layer's analysis lock); refs held by any view
+// are invalidated and per-view sat caches are dropped lazily via the
+// table epoch. GC never changes the variable order.
 package bdd
 
 // GCResult reports what one collection accomplished.
@@ -29,10 +27,10 @@ func (r GCResult) Reclaimed() int { return r.Before - r.After }
 // dead apply/ite garbage from completed or aborted computations) and the
 // manager adopts the result. The returned refs replace roots; all other
 // refs into the table are invalidated — including refs held by other
-// views, so a shared table must be quiescent. Unlike Rebuild, the manager
-// identity, cumulative cache statistics, armed budget and node watermark
-// survive, so a caller can collect mid-computation without rebinding its
-// manager handle. The copy runs on the destination, which has no
+// views, so a shared table must be quiescent. The manager identity,
+// cumulative cache statistics, armed budget and node watermark survive,
+// so a caller can collect mid-computation without rebinding its manager
+// handle. The copy runs on the destination, which has no
 // watermark armed, so GC itself can never raise ErrNodeLimit.
 func (m *Manager) GC(roots []Ref) ([]Ref, GCResult) {
 	res := GCResult{Before: m.NodeCount()}

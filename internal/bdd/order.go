@@ -1,33 +1,5 @@
 package bdd
 
-// Window-permutation variable reordering: a classic, robust alternative to
-// full sifting. The manager slides a window of w adjacent variables across
-// the order; at each position it tries every permutation of the window and
-// keeps the best. Candidates are evaluated by rebuilding the root
-// functions under the candidate order (Transfer), which keeps the
-// implementation canonical-by-construction at the cost of speed — fine for
-// the static, build-once engines this repository uses.
-
-import "fmt"
-
-// permutations returns all permutations of 0..n-1 (n small: 2..4).
-func permutations(n int) [][]int {
-	if n == 1 {
-		return [][]int{{0}}
-	}
-	var out [][]int
-	for _, sub := range permutations(n - 1) {
-		for pos := 0; pos <= len(sub); pos++ {
-			p := make([]int, 0, n)
-			p = append(p, sub[:pos]...)
-			p = append(p, n-1)
-			p = append(p, sub[pos:]...)
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Sift performs Rudell-style variable sifting with a transfer-based move
 // primitive: each variable in turn is tried at every position of the
 // order (the candidate order is evaluated by rebuilding the roots) and
@@ -42,7 +14,8 @@ func (m *Manager) Sift(roots []Ref, maxPasses int) (*Manager, []Ref, int) {
 	if maxPasses < 1 {
 		maxPasses = 1
 	}
-	cur, curRoots := m.Rebuild(roots)
+	cur := New(m.t.names...)
+	curRoots := m.Transfer(cur, roots...)
 	best := cur.TotalSize(curRoots...)
 	n := len(m.t.names)
 	for pass := 0; pass < maxPasses; pass++ {
@@ -90,70 +63,6 @@ func (m *Manager) Sift(roots []Ref, maxPasses int) (*Manager, []Ref, int) {
 		if !improved {
 			break
 		}
-	}
-	return cur, curRoots, best
-}
-
-// WindowReorder searches for a better variable order for the given root
-// functions using window permutation with the given window size (2..4)
-// and repeated passes until no pass improves the total node count. It
-// returns a new manager, the remapped roots, and the achieved size. The
-// original manager is left untouched.
-func (m *Manager) WindowReorder(roots []Ref, window, maxPasses int) (*Manager, []Ref, int) {
-	if window < 2 || window > 4 {
-		panic(fmt.Sprintf("bdd: window size %d out of range [2,4]", window))
-	}
-	if maxPasses < 1 {
-		maxPasses = 1
-	}
-	cur := m
-	curRoots := append([]Ref(nil), roots...)
-	best := cur.TotalSize(curRoots...)
-	perms := permutations(window)
-	n := len(m.t.names)
-	for pass := 0; pass < maxPasses; pass++ {
-		improvedPass := false
-		for start := 0; start+window <= n; start++ {
-			order := cur.Names()
-			base := append([]string(nil), order...)
-			var bestPerm []int
-			for _, p := range perms {
-				identity := true
-				for i, v := range p {
-					if v != i {
-						identity = false
-					}
-					order[start+i] = base[start+p[i]]
-				}
-				if identity {
-					continue // current arrangement is already scored
-				}
-				cand := New(order...)
-				candRoots := cur.Transfer(cand, curRoots...)
-				if size := cand.TotalSize(candRoots...); size < best {
-					best = size
-					bestPerm = append([]int(nil), p...)
-				}
-			}
-			if bestPerm != nil {
-				for i := range bestPerm {
-					order[start+i] = base[start+bestPerm[i]]
-				}
-				next := New(order...)
-				curRoots = cur.Transfer(next, curRoots...)
-				cur = next
-				improvedPass = true
-			}
-		}
-		if !improvedPass {
-			break
-		}
-	}
-	if cur == m {
-		// No improvement anywhere: still hand back a fresh manager so the
-		// contract (result independent of the receiver) holds.
-		nm, nr := m.Rebuild(curRoots)
-		return nm, nr, nm.TotalSize(nr...)
 	}
 	return cur, curRoots, best
 }

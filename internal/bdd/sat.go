@@ -142,15 +142,3 @@ func (m *Manager) AllSat(f Ref, fn func(cube []int8) bool) {
 	}
 	rec(f)
 }
-
-// CountMinterms64 returns SatCount rounded to the nearest float64. The
-// value is exact only while the count fits in 53 bits of mantissa —
-// circuits with more than 53 inputs (several ISCAS-85 members) routinely
-// exceed that, and their counts round to the nearest representable
-// float64 (relative error ≤ 2⁻⁵³). Callers needing exact wide counts must
-// use SatCount; callers deriving fractions should prefer SatFrac, which
-// divides in extended precision before rounding once.
-func (m *Manager) CountMinterms64(f Ref) float64 {
-	fl, _ := new(big.Float).SetInt(m.SatCount(f)).Float64()
-	return fl
-}

@@ -103,38 +103,6 @@ func (m *Manager) Transfer(dst *Manager, refs ...Ref) []Ref {
 	return out
 }
 
-// Rebuild copies the given root functions into a fresh manager with the
-// same variable order and returns it together with the remapped roots.
-// This is the package's generational garbage collection: everything not
-// reachable from roots is dropped.
-func (m *Manager) Rebuild(roots []Ref) (*Manager, []Ref) {
-	dst := New(m.t.names...)
-	out := m.Transfer(dst, roots...)
-	return dst, out
-}
-
-// ReorderTo rebuilds the root functions under a new variable order (a
-// permutation of the manager's names) and returns the new manager and the
-// remapped roots.
-func (m *Manager) ReorderTo(order []string, roots []Ref) (*Manager, []Ref) {
-	if len(order) != len(m.t.names) {
-		panic("bdd: reorder must permute all variables")
-	}
-	seen := map[string]bool{}
-	for _, n := range order {
-		if m.VarIndex(n) < 0 {
-			panic(fmt.Sprintf("bdd: reorder names unknown variable %q", n))
-		}
-		if seen[n] {
-			panic(fmt.Sprintf("bdd: reorder repeats variable %q", n))
-		}
-		seen[n] = true
-	}
-	dst := New(order...)
-	out := m.Transfer(dst, roots...)
-	return dst, out
-}
-
 // TotalSize reports the number of distinct nodes reachable from the union
 // of the given roots (shared nodes counted once, the terminal included).
 // Under complement edges a function and its complement share every node,

@@ -81,7 +81,7 @@ func (f *Flags) Campaign() analysis.CampaignConfig {
 			NodeLimit:       f.nodeLimit,
 			RetryMultiplier: f.retryMult,
 		},
-		Calibrate: analysis.Calibration{Enabled: f.calibrate},
+		Calibrate: f.calibrate,
 	}
 }
 
@@ -99,7 +99,7 @@ func Args(cfg analysis.CampaignConfig) []string {
 	if cfg.Recovery.RetryMultiplier != 0 {
 		args = append(args, "-retrybudget", strconv.FormatFloat(cfg.Recovery.RetryMultiplier, 'g', -1, 64))
 	}
-	if cfg.Calibrate.Enabled {
+	if cfg.Calibrate {
 		args = append(args, "-calibrate")
 	}
 	return args

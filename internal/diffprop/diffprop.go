@@ -1355,11 +1355,12 @@ func Adherence(detectability, upperBound float64) (float64, bool) {
 	return a, true
 }
 
-// BridgeActsStuckAt implements the Figure 5 classification: the number of
-// variables in the faulty function at the bridge site is counted, and a
-// count of zero means the bridged wires are stuck at a constant — the
-// bridging fault is equivalent to a (double) stuck-at fault. For a
-// wired-AND bridge the site function is f_u∧f_v; for wired-OR, f_u∨f_v.
+// BridgeActsStuckAt implements the Figure 5 classification: when the
+// faulty function at the bridge site depends on no variable, the bridged
+// wires are stuck at a constant — the bridging fault is equivalent to a
+// (double) stuck-at fault. For a wired-AND bridge the site function is
+// f_u∧f_v; for wired-OR, f_u∨f_v. On a reduced BDD the support is empty
+// exactly when the function is a terminal.
 func (e *Engine) BridgeActsStuckAt(b faults.Bridging) bool {
 	m := e.m
 	var site bdd.Ref
@@ -1368,7 +1369,7 @@ func (e *Engine) BridgeActsStuckAt(b faults.Bridging) bool {
 	} else {
 		site = m.Or(e.good[b.U], e.good[b.V])
 	}
-	return m.SupportSize(site) == 0
+	return bdd.IsConst(site)
 }
 
 // DFSOrder returns a variable order produced by depth-first traversal of

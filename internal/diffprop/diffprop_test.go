@@ -156,7 +156,7 @@ func TestPerPOAgainstExhaustive(t *testing.T) {
 			single.Outputs = []int{o}
 			mask := simulate.DetectStuckAt(single, f, p)
 			wantCount := simulate.CountBits(mask)
-			gotCount := int(e.Manager().CountMinterms64(res.PerPO[i]))
+			gotCount := int(e.Manager().SatCount(res.PerPO[i]).Int64())
 			if gotCount != wantCount {
 				t.Fatalf("%v PO %d: DP %d tests, exhaustive %d", f.Describe(w), i, gotCount, wantCount)
 			}

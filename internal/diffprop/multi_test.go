@@ -86,7 +86,7 @@ func TestMultipleStuckAtCancellation(t *testing.T) {
 	// Exhaustive check that the double-fault set is the truth.
 	p := simulate.Exhaustive(5)
 	mask := simulate.DetectMultipleStuckAt(w, []faults.StuckAt{f1, f2}, p)
-	if int(m.CountMinterms64(double)) != simulate.CountBits(mask) {
+	if int(m.SatCount(double).Int64()) != simulate.CountBits(mask) {
 		t.Fatal("double-fault test set wrong")
 	}
 }

@@ -38,7 +38,7 @@ func TestShardedStudiesMatchInProcess(t *testing.T) {
 	// flag the subprocess rejects fails the supervised campaign.
 	base.Campaign = analysis.CampaignConfig{
 		Recovery:  diffprop.Recovery{NodeLimit: 1 << 20},
-		Calibrate: analysis.Calibration{Enabled: true},
+		Calibrate: true,
 	}
 
 	inproc := NewRunner(base)
