@@ -74,6 +74,7 @@ func (w *fakeWorker) SigKilled() bool {
 type scriptLauncher struct {
 	run      func(sh Shard, w *fakeWorker)
 	launches atomic.Int64
+	scripts  sync.WaitGroup
 }
 
 func (l *scriptLauncher) Launch(ctx context.Context, sh Shard) (Worker, error) {
@@ -86,9 +87,18 @@ func (l *scriptLauncher) Launch(ctx context.Context, sh Shard) (Worker, error) {
 		case <-w.waitCh:
 		}
 	}()
-	go l.run(sh, w)
+	l.scripts.Add(1)
+	go func() {
+		defer l.scripts.Done()
+		l.run(sh, w)
+	}()
 	return w, nil
 }
+
+// reap waits for every launched script to return. A killed process is
+// gone once it is killed, but a script goroutine runs on until its next
+// send fails; a test that reuses the shard files must reap first.
+func (l *scriptLauncher) reap() { l.scripts.Wait() }
 
 // testStore implements Store over synthetic fault records. The
 // fingerprint is derived from the shard range so bisected children get
@@ -455,6 +465,7 @@ func TestSupervisorRerunResumesShardCheckpoints(t *testing.T) {
 		l := &scriptLauncher{run: func(sh Shard, w *fakeWorker) {
 			analyzeShard(t, sh, w, &appended, dieAt)
 		}}
+		defer l.reap()
 		return RunSharded(context.Background(), CampaignConfig{
 			Supervisor: Config{Launcher: l, MaxRestarts: -1},
 			Store:      testStore{},
@@ -482,6 +493,9 @@ func TestSupervisorRerunResumesShardCheckpoints(t *testing.T) {
 		Shards:     2,
 		Dir:        dir,
 	})
+	// A worker launched just before the cancel may still be resuming its
+	// checkpoint; it must be gone before the rerun opens the same files.
+	l.reap()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run = %v, want context.Canceled", err)
 	}
