@@ -163,8 +163,9 @@ func BenchmarkBaseline_ExhaustiveSimPerFault(b *testing.B) {
 // --- Ablations of DESIGN.md design choices -------------------------------
 
 // BenchmarkAblation_VariableOrderNatural quantifies the cost of the
-// paper's benchmark-declaration variable order against the DFS default on
-// the order-sensitive priority controller.
+// paper's benchmark-declaration variable order against the DFS heuristic
+// and the committed table order on the order-sensitive priority
+// controller.
 func BenchmarkAblation_VariableOrderNatural(b *testing.B) {
 	c := circuits.MustGet("c432s")
 	work := c.Decompose2()
@@ -178,8 +179,25 @@ func BenchmarkAblation_VariableOrderNatural(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_VariableOrderDFS is the DFS-ordered counterpart.
+// BenchmarkAblation_VariableOrderDFS is the DFS-ordered counterpart, the
+// order New picks for a netlist outside the table.
 func BenchmarkAblation_VariableOrderDFS(b *testing.B) {
+	c := circuits.MustGet("c432s")
+	order := diffprop.DFSOrder(c.Decompose2())
+	for i := 0; i < b.N; i++ {
+		e, err := diffprop.New(c, &diffprop.Options{Order: order})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs := faults.CheckpointStuckAts(e.Circuit)[:20]
+		analysis.RunStuckAt(e, fs)
+	}
+}
+
+// BenchmarkAblation_VariableOrderTable runs the committed table order
+// (one offline Sift pass from DFSOrder), which New picks for a catalog
+// circuit when no order is given.
+func BenchmarkAblation_VariableOrderTable(b *testing.B) {
 	c := circuits.MustGet("c432s")
 	for i := 0; i < b.N; i++ {
 		e, err := diffprop.New(c, nil)

@@ -231,3 +231,65 @@ func TestResumeOutOfRangeIndex(t *testing.T) {
 		t.Fatal("out-of-range resume index was accepted")
 	}
 }
+
+// TestAllResumedSkipsSynthesis pins the replay of a finished checkpoint
+// (a -shards supervisor's final study, a -resume of a finished run): every
+// record comes back unchanged and no engine is built, so no BDD node is
+// ever allocated.
+func TestAllResumedSkipsSynthesis(t *testing.T) {
+	c := circuits.MustGet("c95s")
+	work := c.Decompose2()
+	dir := t.TempDir()
+	finished := func(path string, hdr CheckpointHeader, run func(cp *Checkpointer) error) map[int]json.RawMessage {
+		t.Helper()
+		cp, err := CreateCheckpoint(path, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, all, _, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all
+	}
+
+	fs := faults.CheckpointStuckAts(work)
+	var full StuckAtStudy
+	all := finished(filepath.Join(dir, "sa.jsonl"), StuckAtCheckpointHeader(work, fs), func(cp *Checkpointer) (err error) {
+		full, err = RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: 2, Checkpoint: cp})
+		return err
+	})
+	replay, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{Workers: 2, Resume: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripStatsSA(replay), stripStatsSA(full)) {
+		t.Fatal("all-resumed stuck-at study differs from the run that wrote the checkpoint")
+	}
+	if replay.Stats.PeakNodes != 0 || replay.Stats.Resumed != len(fs) || replay.Stats.Faults != 0 {
+		t.Fatalf("all-resumed stuck-at stats %v: want no nodes, %d resumed, no faults analyzed", replay.Stats, len(fs))
+	}
+
+	bs, pop, sampled := BridgingSet(work, faults.WiredAND, 150, 0.3, 7)
+	var fullBF BridgingStudy
+	allBF := finished(filepath.Join(dir, "bf.jsonl"), BridgingCheckpointHeader(work, bs), func(cp *Checkpointer) (err error) {
+		fullBF, err = RunBridgingCampaign(c, nil, bs, faults.WiredAND, pop, sampled, CampaignConfig{Workers: 2, Checkpoint: cp})
+		return err
+	})
+	replayBF, err := RunBridgingCampaign(c, nil, bs, faults.WiredAND, pop, sampled, CampaignConfig{Workers: 2, Resume: allBF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripStatsBF(replayBF), stripStatsBF(fullBF)) {
+		t.Fatal("all-resumed bridging study differs from the run that wrote the checkpoint")
+	}
+	if replayBF.Stats.PeakNodes != 0 || replayBF.Stats.Resumed != len(bs) {
+		t.Fatalf("all-resumed bridging stats %v: want no nodes, %d resumed", replayBF.Stats, len(bs))
+	}
+}

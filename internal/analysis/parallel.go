@@ -247,9 +247,17 @@ func (s *CampaignStats) add(es diffprop.Stats) {
 // diffprop.Engine.Share view per worker — one node store for the whole
 // campaign — each armed with cfg's per-fault budget and recovery ladder.
 // The worker count is cfg.Workers capped at the fault count (at least
-// one). The shared working circuit's lazy topology caches are warmed here
-// so workers only ever read them.
-func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg CampaignConfig) ([]*diffprop.Engine, error) {
+// one). It returns the working circuit, whose lazy topology caches are
+// warmed here so workers only ever read them. When cfg.Resume restores
+// every fault there is nothing to analyze: it synthesizes no engine and
+// returns only the working circuit the records refer to.
+func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg CampaignConfig) (*netlist.Circuit, []*diffprop.Engine, error) {
+	if nFaults > 0 && len(cfg.Resume) == nFaults {
+		if err := c.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("analysis: parallel run failed: %w", err)
+		}
+		return c.Decompose2(), nil, nil
+	}
 	workers := Workers(cfg.Workers)
 	if workers > nFaults {
 		workers = nFaults
@@ -259,7 +267,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 	}
 	proto, err := diffprop.New(c, opts)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: parallel run failed: %w", err)
+		return nil, nil, fmt.Errorf("analysis: parallel run failed: %w", err)
 	}
 	work := proto.Circuit
 	work.Fanout()
@@ -274,7 +282,7 @@ func prepareEngines(c *netlist.Circuit, opts *diffprop.Options, nFaults int, cfg
 		e.SetFaultBudget(cfg.FaultOps)
 		e.SetRecovery(cfg.Recovery)
 	}
-	return engines, nil
+	return work, engines, nil
 }
 
 // runCampaign drains indices 0..total-1 through the worker engines via an
@@ -527,11 +535,10 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 // decomposition of c (the working circuit of any engine built from c),
 // which is deterministic.
 func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, cfg CampaignConfig) (StuckAtStudy, error) {
-	engines, err := prepareEngines(c, opts, len(fs), cfg)
+	work, engines, err := prepareEngines(c, opts, len(fs), cfg)
 	if err != nil {
 		return StuckAtStudy{}, err
 	}
-	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
 	levels := work.Levels()
 	records := make([]StuckAtRecord, len(fs))
@@ -602,11 +609,10 @@ func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.
 // RunBridgingCampaign is the bridging-fault counterpart of
 // RunStuckAtCampaign.
 func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool, cfg CampaignConfig) (BridgingStudy, error) {
-	engines, err := prepareEngines(c, opts, len(bs), cfg)
+	work, engines, err := prepareEngines(c, opts, len(bs), cfg)
 	if err != nil {
 		return BridgingStudy{}, err
 	}
-	work := engines[0].Circuit
 	toPO := work.MaxLevelsToPO()
 	records := make([]BridgingRecord, len(bs))
 	skip, err := resumeDecode(len(bs), cfg.Resume, func(i int, raw json.RawMessage) error {

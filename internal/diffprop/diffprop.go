@@ -61,9 +61,11 @@ type Recovery struct {
 // Options configures an Engine.
 type Options struct {
 	// Order lists the primary input names in BDD variable order. Empty
-	// selects the DFS-from-outputs heuristic (DFSOrder), which interleaves
-	// related inputs; pass Circuit.InputNames() to force the benchmark
-	// declaration order the paper used.
+	// selects the committed order of a catalog circuit (ordertable.go)
+	// and, for any other netlist, the DFS-from-outputs heuristic
+	// (DFSOrder), which interleaves related inputs; pass
+	// Circuit.InputNames() to force the benchmark declaration order the
+	// paper used.
 	Order []string
 	// RebuildLimit triggers generational garbage collection of the BDD
 	// manager when the node table exceeds this size. Zero selects a
@@ -320,7 +322,7 @@ func New(c *netlist.Circuit, opts *Options) (*Engine, error) {
 		if len(order) != len(work.Inputs) {
 			return nil, fmt.Errorf("diffprop: order has %d names for %d inputs", len(order), len(work.Inputs))
 		}
-	} else {
+	} else if order = tableOrder(work); order == nil {
 		order = DFSOrder(work)
 	}
 	m := bdd.New(order...)
@@ -1370,6 +1372,28 @@ func (e *Engine) BridgeActsStuckAt(b faults.Bridging) bool {
 		site = m.Or(e.good[b.U], e.good[b.V])
 	}
 	return bdd.IsConst(site)
+}
+
+//go:generate go run ordertable_gen.go
+
+// tableOrder returns the committed variable order of the circuit's
+// catalog entry, or nil when the table has no entry under its name or
+// the entry is not a permutation of its inputs: a -bench netlist, a clone
+// with added inputs or a test circuit that shares a catalog name.
+func tableOrder(work *netlist.Circuit) []string {
+	order, ok := orderTable[work.Name]
+	if !ok || len(order) != len(work.Inputs) {
+		return nil
+	}
+	seen := make(map[int]bool, len(order))
+	for _, name := range order {
+		id := work.NetByName(name)
+		if id < 0 || !work.IsInput(id) || seen[id] {
+			return nil
+		}
+		seen[id] = true
+	}
+	return order
 }
 
 // DFSOrder returns a variable order produced by depth-first traversal of
