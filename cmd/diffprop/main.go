@@ -9,6 +9,7 @@
 //	diffprop -circuit c95s -model and         # wired-AND bridging faults
 //	diffprop -bench my.bench -model or -max 50
 //	diffprop -circuit c17 -summary            # aggregates only
+//	diffprop -circuit c1908s -stride 10       # every 10th fault of the list
 //	diffprop -circuit c1355s -budget 2000000               # degrade hard faults
 //	diffprop -circuit c1908s -budget 200000 -retrybudget 16  # rescue blown faults
 //	GOMEMLIMIT=2GiB diffprop -circuit c1908s -nodelimit 500000      # bound memory
@@ -61,6 +62,7 @@ func main() {
 		bench     = flag.String("bench", "", "path to an ISCAS-85 .bench netlist")
 		model     = flag.String("model", "stuckat", "fault model: stuckat, and, or")
 		max       = flag.Int("max", 0, "analyze at most this many faults (0 = all)")
+		stride    = flag.Int("stride", 1, "analyze every k-th fault of the stuck-at list or bridging set, before -max (1 = all)")
 		maxBFs    = flag.Int("maxbfs", 1000, "bridging fault sample ceiling")
 		theta     = flag.Float64("theta", 0.3, "exponential distance parameter for sampling")
 		seed      = flag.Int64("seed", 1990, "sampling seed")
@@ -93,6 +95,9 @@ func main() {
 	}
 	if (*workerShard != "" || cf.Shards > 0) && *ckptPath == "" {
 		fatal(fmt.Errorf("-shards/-worker-shard need -checkpoint <file>"))
+	}
+	if *stride < 1 {
+		fatal(fmt.Errorf("-stride %d is below 1", *stride))
 	}
 	if *hbTimeout > 0 && *hbTimeout < time.Millisecond {
 		// The stall watchdog and the workers' heartbeat tick at fractions of it.
@@ -172,6 +177,7 @@ func main() {
 			attempt:  *workerAttempt,
 			hbEvery:  heartbeatPeriod(*hbTimeout),
 			model:    *model,
+			stride:   *stride,
 			max:      *max,
 			maxBFs:   *maxBFs,
 			theta:    *theta,
@@ -196,7 +202,7 @@ func main() {
 			obs:         o,
 			flags: workerFlagSet{
 				circuit: *circuit, bench: *bench, model: *model,
-				max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
+				stride: *stride, max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
 				campaign:  ccfg,
 				chaosSpec: *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
 			},
@@ -205,8 +211,7 @@ func main() {
 
 	switch strings.ToLower(*model) {
 	case "stuckat", "sa":
-		fs := faults.CheckpointStuckAts(w)
-		fs = truncateFaults(fs, *max)
+		fs := campaignFaults(faults.CheckpointStuckAts(w), *stride, *max)
 		var study analysis.StuckAtStudy
 		if sup != nil {
 			study = runShardedStuckAt(ctx, sup, c, w, fs, ccfg)
@@ -253,7 +258,7 @@ func main() {
 			kind = faults.WiredOR
 		}
 		set, pop, sampled := analysis.BridgingSet(w, kind, *maxBFs, *theta, *seed)
-		set = truncateFaults(set, *max)
+		set = campaignFaults(set, *stride, *max)
 		var study analysis.BridgingStudy
 		if sup != nil {
 			study = runShardedBridging(ctx, sup, c, w, set, kind, pop, sampled, ccfg)
@@ -282,24 +287,35 @@ func main() {
 	}
 }
 
-// truncateFaults applies -max, warning on stderr when it actually drops
-// faults: a truncated set silently changes every aggregate the report
-// prints. Shard workers cut with firstFaults instead, so a supervised
-// campaign warns once, from its supervisor.
-func truncateFaults[F any](fs []F, max int) []F {
-	kept := firstFaults(fs, max)
-	if len(kept) < len(fs) {
-		fmt.Fprintf(os.Stderr, "diffprop: warning: -max truncates the fault set from %d to %d faults; aggregates cover the truncated set only\n", len(fs), max)
+// campaignFaults applies -stride and -max, warning on stderr when -max
+// actually drops faults: a truncated set silently changes every aggregate
+// the report prints. Shard workers select with selectFaults alone, so a
+// supervised campaign warns once, from its supervisor.
+func campaignFaults[F any](fs []F, stride, max int) []F {
+	kept, cut := selectFaults(fs, stride, max)
+	if cut > 0 {
+		fmt.Fprintf(os.Stderr, "diffprop: warning: -max truncates the fault set from %d to %d faults; aggregates cover the truncated set only\n", len(kept)+cut, max)
 	}
 	return kept
 }
 
-// firstFaults is fs cut to its first max faults (max <= 0 keeps them all).
-func firstFaults[F any](fs []F, max int) []F {
-	if max > 0 && len(fs) > max {
-		return fs[:max]
+// selectFaults keeps every stride-th fault of fs from the first (stride
+// <= 1 keeps them all), then cuts that list to its first max faults (max
+// <= 0 keeps them all) and reports how many the cut dropped. The
+// in-process run and every shard worker select through it, so both
+// analyze the same list.
+func selectFaults[F any](fs []F, stride, max int) (kept []F, cut int) {
+	kept = fs
+	if stride > 1 {
+		kept = make([]F, 0, (len(fs)+stride-1)/stride)
+		for i := 0; i < len(fs); i += stride {
+			kept = append(kept, fs[i])
+		}
 	}
-	return fs
+	if max > 0 && len(kept) > max {
+		return kept[:max], len(kept) - max
+	}
+	return kept, 0
 }
 
 // openCheckpoint wires the checkpoint file (if any) into the campaign

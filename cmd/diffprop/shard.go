@@ -39,7 +39,8 @@ const exitOrphaned = 4
 type workerFlagSet struct {
 	circuit, bench string
 	model          string
-	max, maxBFs    int
+	stride, max    int
+	maxBFs         int
 	theta          float64
 	seed           int64
 	campaign       analysis.CampaignConfig
@@ -74,6 +75,7 @@ func (s *supervisorMode) workerArgs(sh supervise.Shard) []string {
 		"-hb-timeout", s.hbTimeout.String(),
 		"-checkpoint", sh.Path,
 		"-model", f.model,
+		"-stride", strconv.Itoa(f.stride),
 		"-max", strconv.Itoa(f.max),
 		"-maxbfs", strconv.Itoa(f.maxBFs),
 		"-theta", strconv.FormatFloat(f.theta, 'g', -1, 64),
@@ -232,6 +234,7 @@ type workerMode struct {
 	attempt  int
 	hbEvery  time.Duration
 	model    string
+	stride   int
 	max      int
 	maxBFs   int
 	theta    float64
@@ -279,7 +282,7 @@ func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
 	)
 	switch strings.ToLower(m.model) {
 	case "stuckat", "sa":
-		fs := firstFaults(faults.CheckpointStuckAts(w), m.max)
+		fs, _ := selectFaults(faults.CheckpointStuckAts(w), m.stride, m.max)
 		if hi > len(fs) {
 			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(fs)))
 		}
@@ -302,7 +305,7 @@ func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
 			kind = faults.WiredOR
 		}
 		set, _, _ := analysis.BridgingSet(w, kind, m.maxBFs, m.theta, m.seed)
-		set = firstFaults(set, m.max)
+		set, _ = selectFaults(set, m.stride, m.max)
 		if hi > len(set) {
 			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(set)))
 		}

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/circuits"
 	"repro/internal/diffprop"
+	"repro/internal/faults"
 	"repro/internal/supervise"
 )
 
@@ -228,12 +230,12 @@ func TestSubSecondHeartbeatTimeoutKillsNoHealthyWorker(t *testing.T) {
 
 // TestWorkerArgsDependOnlyOnAttempt: a relaunch runs the campaign its
 // first launch ran; the command lines of attempts 0 and 3 of one lease
-// differ only in -worker-attempt.
+// differ only in -worker-attempt, and both forward the fault selection.
 func TestWorkerArgsDependOnlyOnAttempt(t *testing.T) {
 	s := &supervisorMode{
 		hbTimeout: 300 * time.Millisecond,
 		flags: workerFlagSet{
-			circuit: "c1908s", model: "stuckat", max: 60, maxBFs: 1000, theta: 0.3, seed: 1990,
+			circuit: "c1908s", model: "stuckat", stride: 10, max: 60, maxBFs: 1000, theta: 0.3, seed: 1990,
 			campaign: analysis.CampaignConfig{
 				Workers:  2,
 				FaultOps: 100000,
@@ -255,6 +257,80 @@ func TestWorkerArgsDependOnlyOnAttempt(t *testing.T) {
 		}
 		if i == 0 || first[i-1] != "-worker-attempt" || first[i] != "0" || again[i] != "3" {
 			t.Errorf("argument %d differs: %q vs %q", i, first[i], again[i])
+		}
+	}
+	for _, want := range []string{"-stride 10", "-max 60"} {
+		if !strings.Contains(strings.Join(first, " "), want) {
+			t.Errorf("worker command line does not forward %s: %q", want, first)
+		}
+	}
+}
+
+// TestStrideShardedMatchesInProcess: a strided campaign under -shards
+// writes a merged checkpoint byte-identical to the in-process run's, and
+// its header fingerprints the strided list, not the prefix of the same
+// length.
+func TestStrideShardedMatchesInProcess(t *testing.T) {
+	dir := t.TempDir()
+	single := filepath.Join(dir, "single.jsonl")
+	sharded := filepath.Join(dir, "sharded.jsonl")
+	base := []string{"-circuit", "c1908s", "-stride", "10", "-workers", "1", "-summary"}
+	stdoutSingle, stderr, code := runDiffprop(t, append(base, "-checkpoint", single)...)
+	if code != 0 {
+		t.Fatalf("in-process run exited %d:\n%s", code, stderr)
+	}
+	stdoutSharded, stderr, code := runDiffprop(t, append(base, "-shards", "2", "-checkpoint", sharded, "-shard-dir", filepath.Join(dir, "shards"))...)
+	if code != 0 {
+		t.Fatalf("sharded run exited %d:\n%s", code, stderr)
+	}
+	if stdoutSharded != stdoutSingle {
+		t.Errorf("stdout differs:\n%s\nwant\n%s", stdoutSharded, stdoutSingle)
+	}
+	a, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("merged checkpoint differs from the in-process checkpoint")
+	}
+
+	w := circuits.MustGet("c1908s").Decompose2()
+	all := faults.CheckpointStuckAts(w)
+	strided, _ := selectFaults(all, 10, 0)
+	want := analysis.StuckAtCheckpointHeader(w, strided)
+	var got analysis.CheckpointHeader
+	if err := json.Unmarshal(a[:bytes.IndexByte(a, '\n')], &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("checkpoint header %+v, want %+v", got, want)
+	}
+	if prefix := analysis.StuckAtCheckpointHeader(w, all[:len(strided)]); got.Fingerprint == prefix.Fingerprint {
+		t.Fatal("the strided list and the prefix of its length share a fingerprint")
+	}
+}
+
+func TestSelectFaults(t *testing.T) {
+	fs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, tc := range []struct {
+		stride, max int
+		want        []int
+		cut         int
+	}{
+		{1, 0, fs, 0},
+		{0, 4, []int{0, 1, 2, 3}, 6},
+		{3, 0, []int{0, 3, 6, 9}, 0},
+		{3, 2, []int{0, 3}, 2},
+		{4, 5, []int{0, 4, 8}, 0},
+		{20, 0, []int{0}, 0},
+	} {
+		got, cut := selectFaults(fs, tc.stride, tc.max)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || cut != tc.cut {
+			t.Errorf("selectFaults(stride %d, max %d) = %v, cut %d; want %v, cut %d", tc.stride, tc.max, got, cut, tc.want, tc.cut)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuits"
 	"repro/internal/netlist"
 )
 
@@ -243,6 +244,33 @@ func TestAllNFBFsCountsConsistent(t *testing.T) {
 	// bridge is screened that way, so the OR set is at least as large.
 	if bor < band {
 		t.Fatalf("OR set (%d) should be >= AND set (%d) in an all-NAND circuit", bor, band)
+	}
+}
+
+// TestCountFeedbackPairsMatchesPairwise: the popcount over reachability
+// rows equals a pairwise test of every net pair against netlist's own
+// fan-out cones, on every catalog circuit, plain and decomposed.
+func TestCountFeedbackPairsMatchesPairwise(t *testing.T) {
+	for _, name := range circuits.Names() {
+		plain := circuits.MustGet(name)
+		for _, c := range []*netlist.Circuit{plain, plain.Decompose2()} {
+			n := c.NumNets()
+			cones := make([][]bool, n)
+			for u := range cones {
+				cones[u] = c.FanoutCone(u)
+			}
+			want := 0
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if cones[u][v] || cones[v][u] {
+						want++
+					}
+				}
+			}
+			if got := CountFeedbackPairs(c); got != want {
+				t.Errorf("%s (%d nets): CountFeedbackPairs = %d, pairwise count %d", name, n, got, want)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@
 package layout
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,7 +83,7 @@ func NormalizedDistances(p Placement, candidates []faults.Bridging) []float64 {
 // wires. θ plays the paper's role of tuning the fault-set size versus
 // locality; the draw is deterministic for a fixed seed. If n >= the
 // population, the entire population is returned (as the paper does for its
-// four smallest circuits).
+// four smallest circuits). The sample comes back in (U, V) order.
 func SampleNFBFs(c *netlist.Circuit, candidates []faults.Bridging, n int, theta float64, seed int64) []faults.Bridging {
 	if theta <= 0 {
 		panic(fmt.Sprintf("layout: theta must be positive, got %v", theta))
@@ -94,22 +95,29 @@ func SampleNFBFs(c *netlist.Circuit, candidates []faults.Bridging, n int, theta 
 	z := NormalizedDistances(p, candidates)
 	rng := rand.New(rand.NewSource(seed))
 	// Weighted sampling without replacement (Efraimidis–Spirakis): draw
-	// key u^(1/w) per item and keep the n largest keys.
-	type scored struct {
-		idx int
-		key float64
-	}
-	items := make([]scored, len(candidates))
+	// key u^(1/w) per item, in candidate order, and keep the n largest
+	// keys in a bounded min-heap whose root is the weakest kept item.
+	kept := make(keyHeap, 0, n)
 	for i := range candidates {
 		w := math.Exp(-z[i] / theta)
 		u := rng.Float64()
 		// u^(1/w) computed in log space for numerical stability.
-		items[i] = scored{idx: i, key: math.Log(u) / w}
+		key := math.Log(u) / w
+		switch {
+		case len(kept) < n:
+			kept = append(kept, keyed{idx: i, key: key})
+			if len(kept) == n {
+				heap.Init(&kept)
+			}
+		case n > 0 && key > kept[0].key:
+			// A tie loses to the kept item: it has the lower index.
+			kept[0] = keyed{idx: i, key: key}
+			heap.Fix(&kept, 0)
+		}
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].key > items[b].key })
 	out := make([]faults.Bridging, n)
-	for i := 0; i < n; i++ {
-		out[i] = candidates[items[i].idx]
+	for i, k := range kept {
+		out[i] = candidates[k.idx]
 	}
 	// Keep the sample in a stable, readable order.
 	sort.Slice(out, func(a, b int) bool {
@@ -119,6 +127,34 @@ func SampleNFBFs(c *netlist.Circuit, candidates []faults.Bridging, n int, theta 
 		return out[a].V < out[b].V
 	})
 	return out
+}
+
+// keyed is a candidate's index and its sampling key.
+type keyed struct {
+	idx int
+	key float64
+}
+
+// keyHeap is a min-heap (container/heap) of keyed items, weakest first:
+// the lowest key, and among equal keys the highest index, so the n items
+// it keeps are the n largest keys with ties going to the lower candidate
+// index.
+type keyHeap []keyed
+
+func (h keyHeap) Len() int { return len(h) }
+func (h keyHeap) Less(a, b int) bool {
+	if h[a].key != h[b].key {
+		return h[a].key < h[b].key
+	}
+	return h[a].idx > h[b].idx
+}
+func (h keyHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *keyHeap) Push(x any)   { *h = append(*h, x.(keyed)) }
+func (h *keyHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // MeanDistance reports the average normalized distance of a fault set
