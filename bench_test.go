@@ -195,8 +195,8 @@ func BenchmarkAblation_VariableOrderDFS(b *testing.B) {
 }
 
 // BenchmarkAblation_VariableOrderTable runs the committed table order
-// (one offline Sift pass from DFSOrder), which New picks for a catalog
-// circuit when no order is given.
+// (sifted offline from DFSOrder and kept for its campaign op count),
+// which New picks for a catalog circuit when no order is given.
 func BenchmarkAblation_VariableOrderTable(b *testing.B) {
 	c := circuits.MustGet("c432s")
 	for i := 0; i < b.N; i++ {

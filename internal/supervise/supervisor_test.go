@@ -63,6 +63,32 @@ func (w *fakeWorker) send(m Msg) bool {
 	return true
 }
 
+// heartbeat sends a heartbeat every period from its own goroutine, as
+// cmd/diffprop's workers do, until the returned stop is called or the
+// worker dies. A script that blocks between protocol messages (a slow
+// checkpoint fsync) stays alive under a short HeartbeatTimeout only
+// this way.
+func (w *fakeWorker) heartbeat(sh Shard, period time.Duration) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				if !w.send(Msg{V: ProtoVersion, Type: MsgHeartbeat, Shard: sh.Range()}) {
+					return
+				}
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
 func (w *fakeWorker) SigKilled() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -329,6 +355,10 @@ func TestHeartbeatStallKilledAndRestarted(t *testing.T) {
 			w.events <- Msg{V: ProtoVersion, Type: MsgHello, Shard: sh.Range(), PID: 1}
 			return
 		}
+		// The healthy attempt heartbeats like a real worker: its
+		// checkpoint fsyncs alone can outlast the 30 ms timeout on a
+		// busy disk.
+		defer w.heartbeat(sh, 5*time.Millisecond)()
 		analyzeShard(t, sh, w, &appended, nil)
 	}
 	o := &obs.Observer{Flight: obs.NewFlightRecorder(64)}
@@ -358,6 +388,43 @@ func TestHeartbeatStallKilledAndRestarted(t *testing.T) {
 		if ev.Kind == obs.FlightWorkerDeath.String() && ev.Label != obs.FlightLabelName(obs.FlightLabelStall) {
 			t.Fatalf("worker death labelled %q, want stall", ev.Label)
 		}
+	}
+}
+
+// TestHeartbeatKeepsSlowWorkerAlive: any protocol message resets the
+// stall clock, so a worker that blocks for several HeartbeatTimeouts
+// between records (a slow fsync, a costly fault) but heartbeats meanwhile
+// is never killed as stalled.
+func TestHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
+	const timeout = 30 * time.Millisecond
+	var appended atomic.Int64
+	l := &scriptLauncher{}
+	l.run = func(sh Shard, w *fakeWorker) {
+		defer w.heartbeat(sh, timeout/4)()
+		analyzeShard(t, sh, w, &appended, func(int) bool {
+			time.Sleep(3 * timeout)
+			return false
+		})
+	}
+	res, err := RunSharded(context.Background(), CampaignConfig{
+		Supervisor: Config{
+			Launcher:         l,
+			HeartbeatTimeout: timeout,
+			HeartbeatPoll:    5 * time.Millisecond,
+			BackoffBase:      time.Millisecond,
+		},
+		Store:  testStore{},
+		Faults: 3,
+		Shards: 1,
+		Dir:    t.TempDir(),
+	})
+	l.reap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMergedRecords(t, res.Records, 3, nil)
+	if res.Supervision.Deaths != 0 || res.Supervision.Restarts != 0 {
+		t.Fatalf("supervision = %+v, want no deaths: the worker heartbeat throughout", res.Supervision)
 	}
 }
 
