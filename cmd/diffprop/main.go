@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/bdd"
 	"repro/internal/campaignflags"
 	"repro/internal/chaos"
 	"repro/internal/circuits"
@@ -171,26 +172,36 @@ func main() {
 		}
 	}
 
+	flags := workerFlagSet{
+		circuit: *circuit, bench: *bench, model: *model,
+		stride: *stride, max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
+		campaign:  ccfg,
+		chaosSpec: *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
+	}
+	camp, err := newCampaign(w, flags)
+	if err != nil {
+		fatal(err)
+	}
 	if *workerShard != "" {
 		wm := &workerMode{
 			shard:    *workerShard,
 			attempt:  *workerAttempt,
 			hbEvery:  heartbeatPeriod(*hbTimeout),
-			model:    *model,
-			stride:   *stride,
-			max:      *max,
-			maxBFs:   *maxBFs,
-			theta:    *theta,
-			seed:     *seed,
 			ckptPath: *ckptPath,
 			chaosCfg: chaosCfg,
 			ccfg:     ccfg,
 		}
-		wm.run(c, w) // exits the process
+		wm.run(c, camp) // exits the process
 	}
-	var sup *supervisorMode
+	if camp.cut > 0 {
+		// Shard workers select the same list silently, so a supervised
+		// campaign warns once, from its supervisor.
+		fmt.Fprintf(os.Stderr, "diffprop: warning: -max truncates the fault set from %d to %d faults; aggregates cover the truncated set only\n", camp.faults+camp.cut, *max)
+	}
+
+	var res result
 	if cf.Shards > 0 {
-		sup = &supervisorMode{
+		sup := &supervisorMode{
 			shards:      cf.Shards,
 			procs:       *shardProcs,
 			dir:         cf.ShardDir,
@@ -200,103 +211,153 @@ func main() {
 			ckptPath:    *ckptPath,
 			verbose:     cf.Verbose,
 			obs:         o,
-			flags: workerFlagSet{
-				circuit: *circuit, bench: *bench, model: *model,
-				stride: *stride, max: *max, maxBFs: *maxBFs, theta: *theta, seed: *seed,
-				campaign:  ccfg,
-				chaosSpec: *chaosSpec, logLevel: cf.LogLevel, logJSON: cf.LogJSON,
-			},
+			flags:       flags,
+		}
+		res = sup.run(ctx, c, camp, ccfg)
+	} else {
+		cp := openCheckpoint(*ckptPath, *resume, *retryDegr, camp.header(0, camp.faults), &ccfg)
+		res, err = camp.run(c, 0, camp.faults, ccfg)
+		closeCheckpoint(cp)
+		if err != nil {
+			fatal(err)
 		}
 	}
-
-	switch strings.ToLower(*model) {
-	case "stuckat", "sa":
-		fs := campaignFaults(faults.CheckpointStuckAts(w), *stride, *max)
-		var study analysis.StuckAtStudy
-		if sup != nil {
-			study = runShardedStuckAt(ctx, sup, c, w, fs, ccfg)
-		} else {
-			cp := openCheckpoint(*ckptPath, *resume, *retryDegr, analysis.StuckAtCheckpointHeader(w, fs), &ccfg)
-			var err error
-			study, err = analysis.RunStuckAtCampaign(c, nil, fs, ccfg)
-			closeCheckpoint(cp)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if cf.Verbose {
-			fmt.Fprintln(os.Stderr, study.Stats)
-		}
-		// Campaigns build their own engines; this one serves only -dot and
-		// the per-fault test-vector column.
-		var e *diffprop.Engine
-		if *dotOut != "" || !*summary {
+	if cf.Verbose {
+		fmt.Fprintln(os.Stderr, res.stats)
+	}
+	// Campaigns build their own engines; this one serves only -dot and
+	// the per-fault test-vector column.
+	var e *diffprop.Engine
+	engine := func() *diffprop.Engine {
+		if e == nil {
 			if e, err = diffprop.New(c, nil); err != nil {
 				fatal(err)
 			}
 		}
-		if *dotOut != "" && len(fs) > 0 {
-			res := e.StuckAt(fs[0])
-			dot := e.Manager().DOT(fs[0].Describe(w), res.Complete)
-			if err := os.WriteFile(*dotOut, []byte(dot), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (complete test set of %s)\n", *dotOut, fs[0].Describe(w))
-		}
-		if !*summary {
-			printStuckAt(e, w, study)
-		}
-		fmt.Printf("faults: %d   detectable: %.1f%%   mean detectability (detectable): %.4f   observed==fed rate: %.3f\n",
-			len(study.Records), 100*study.CoverageRate(), study.MeanDetectable(), study.ObservedEqualsFedRate())
-		fmt.Printf("selective trace: %.1f of %d gates evaluated per fault on average\n",
-			study.MeanGatesEvaluated(), w.NumGates())
-		writeCalibJSON(*calibJSON, c.Name, study.Stats)
-		finishCampaign(study.Stats, study.Errors(), study.DegradedFaults())
-	case "and", "or":
-		kind := faults.WiredAND
-		if strings.ToLower(*model) == "or" {
-			kind = faults.WiredOR
-		}
-		set, pop, sampled := analysis.BridgingSet(w, kind, *maxBFs, *theta, *seed)
-		set = campaignFaults(set, *stride, *max)
-		var study analysis.BridgingStudy
-		if sup != nil {
-			study = runShardedBridging(ctx, sup, c, w, set, kind, pop, sampled, ccfg)
-		} else {
-			cp := openCheckpoint(*ckptPath, *resume, *retryDegr, analysis.BridgingCheckpointHeader(w, set), &ccfg)
-			var err error
-			study, err = analysis.RunBridgingCampaign(c, nil, set, kind, pop, sampled, ccfg)
-			closeCheckpoint(cp)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if cf.Verbose {
-			fmt.Fprintln(os.Stderr, study.Stats)
-		}
-		if !*summary {
-			printBridging(w, study)
-		}
-		fmt.Printf("faults: %d of %d potentially detectable NFBFs (sampled: %v)\n", len(study.Records), pop, sampled)
-		fmt.Printf("detectable: %.1f%%   mean detectability (detectable): %.4f   stuck-at behavior: %.1f%%\n",
-			100*study.CoverageRate(), study.MeanDetectable(), 100*study.StuckAtProportion())
-		writeCalibJSON(*calibJSON, c.Name, study.Stats)
-		finishCampaign(study.Stats, study.Errors(), study.DegradedFaults())
-	default:
-		fatal(fmt.Errorf("unknown fault model %q (stuckat, and, or)", *model))
+		return e
 	}
+	if *dotOut != "" && camp.faults > 0 {
+		name, complete := camp.first(engine())
+		if err := os.WriteFile(*dotOut, []byte(engine().Manager().DOT(name, complete)), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (complete test set of %s)\n", *dotOut, name)
+	}
+	res.print(*summary, engine)
+	writeCalibJSON(*calibJSON, c.Name, res.stats)
+	finishCampaign(res)
 }
 
-// campaignFaults applies -stride and -max, warning on stderr when -max
-// actually drops faults: a truncated set silently changes every aggregate
-// the report prints. Shard workers select with selectFaults alone, so a
-// supervised campaign warns once, from its supervisor.
-func campaignFaults[F any](fs []F, stride, max int) []F {
-	kept, cut := selectFaults(fs, stride, max)
-	if cut > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: warning: -max truncates the fault set from %d to %d faults; aggregates cover the truncated set only\n", len(kept)+cut, max)
+// campaign is the fault set one -model selects on the working circuit,
+// with the calls that differ between fault models. The in-process run,
+// the -shards supervisor and every shard worker build it with
+// newCampaign, so all of them analyze the same list; it is also the
+// supervisor's Store.
+type campaign struct {
+	// faults counts the faults after -stride and -max; cut counts the
+	// faults -max dropped.
+	faults, cut int
+	// header fingerprints the faults [lo, hi).
+	header func(lo, hi int) analysis.CheckpointHeader
+	// failed is fault i's record after its analysis failed with msg.
+	failed func(i int, msg string) any
+	// first names the first fault and returns its complete test set on e.
+	first func(e *diffprop.Engine) (string, bdd.Ref)
+	// run analyzes the faults [lo, hi) of c.
+	run func(c *netlist.Circuit, lo, hi int, ccfg analysis.CampaignConfig) (result, error)
+}
+
+// result is a finished campaign as diffprop reports it.
+type result struct {
+	stats    analysis.CampaignStats
+	errs     []analysis.FaultError
+	degraded []analysis.DegradedFault
+	// analyzed counts the records not marked Skipped.
+	analyzed int
+	// print writes the per-fault table (unless summary) and the aggregate
+	// lines; engine serves the table's test-vector column.
+	print func(summary bool, engine func() *diffprop.Engine)
+}
+
+// newCampaign selects the fault set of f.model on the working circuit w:
+// the collapsed checkpoint stuck-at list or the bridging set, strided and
+// cut by -stride and -max.
+func newCampaign(w *netlist.Circuit, f workerFlagSet) (campaign, error) {
+	switch model := strings.ToLower(f.model); model {
+	case "stuckat", "sa":
+		fs, cut := selectFaults(faults.CheckpointStuckAts(w), f.stride, f.max)
+		return campaign{
+			faults: len(fs), cut: cut,
+			header: func(lo, hi int) analysis.CheckpointHeader { return analysis.StuckAtCheckpointHeader(w, fs[lo:hi]) },
+			failed: func(i int, msg string) any { return analysis.StuckAtRecord{Fault: fs[i], Err: msg} },
+			first: func(e *diffprop.Engine) (string, bdd.Ref) {
+				return fs[0].Describe(w), e.StuckAt(fs[0]).Complete
+			},
+			run: func(c *netlist.Circuit, lo, hi int, ccfg analysis.CampaignConfig) (result, error) {
+				study, err := analysis.RunStuckAtCampaign(c, nil, fs[lo:hi], ccfg)
+				res := result{stats: study.Stats, errs: study.Errors(), degraded: study.DegradedFaults()}
+				for _, r := range study.Records {
+					if !r.Skipped {
+						res.analyzed++
+					}
+				}
+				res.print = func(summary bool, engine func() *diffprop.Engine) {
+					if !summary {
+						printStuckAt(engine(), w, study)
+					}
+					fmt.Printf("faults: %d   detectable: %.1f%%   mean detectability (detectable): %.4f   observed==fed rate: %.3f\n",
+						len(study.Records), 100*study.CoverageRate(), study.MeanDetectable(), study.ObservedEqualsFedRate())
+					fmt.Printf("selective trace: %.1f of %d gates evaluated per fault on average\n",
+						study.MeanGatesEvaluated(), w.NumGates())
+				}
+				return res, err
+			},
+		}, nil
+	case "and", "or":
+		kind := faults.WiredAND
+		if model == "or" {
+			kind = faults.WiredOR
+		}
+		set, pop, sampled := analysis.BridgingSet(w, kind, f.maxBFs, f.theta, f.seed)
+		set, cut := selectFaults(set, f.stride, f.max)
+		return campaign{
+			faults: len(set), cut: cut,
+			header: func(lo, hi int) analysis.CheckpointHeader { return analysis.BridgingCheckpointHeader(w, set[lo:hi]) },
+			failed: func(i int, msg string) any { return analysis.BridgingRecord{Fault: set[i], Err: msg} },
+			first: func(e *diffprop.Engine) (string, bdd.Ref) {
+				return set[0].Describe(w), e.Bridging(set[0]).Complete
+			},
+			run: func(c *netlist.Circuit, lo, hi int, ccfg analysis.CampaignConfig) (result, error) {
+				study, err := analysis.RunBridgingCampaign(c, nil, set[lo:hi], kind, pop, sampled, ccfg)
+				res := result{stats: study.Stats, errs: study.Errors(), degraded: study.DegradedFaults()}
+				for _, r := range study.Records {
+					if !r.Skipped {
+						res.analyzed++
+					}
+				}
+				res.print = func(summary bool, _ func() *diffprop.Engine) {
+					if !summary {
+						printBridging(w, study)
+					}
+					fmt.Printf("faults: %d of %d potentially detectable NFBFs (sampled: %v)\n", len(study.Records), pop, sampled)
+					fmt.Printf("detectable: %.1f%%   mean detectability (detectable): %.4f   stuck-at behavior: %.1f%%\n",
+						100*study.CoverageRate(), study.MeanDetectable(), 100*study.StuckAtProportion())
+				}
+				return res, err
+			},
+		}, nil
 	}
-	return kept
+	return campaign{}, fmt.Errorf("unknown fault model %q (stuckat, and, or)", f.model)
+}
+
+// Header is the checkpoint header of the shard covering faults [lo, hi).
+func (k campaign) Header(lo, hi int) analysis.CheckpointHeader {
+	return k.header(lo, hi).WithShard(lo, hi)
+}
+
+// QuarantineRecord is the error record persisted for a poison fault.
+func (k campaign) QuarantineRecord(global int) (json.RawMessage, error) {
+	return json.Marshal(k.failed(global, quarantineErr))
 }
 
 // selectFaults keeps every stride-th fault of fs from the first (stride
@@ -407,29 +468,29 @@ func writeCalibJSON(path, circuit string, stats analysis.CampaignStats) {
 // regardless of how the workers interleaved. The degraded list is read
 // off the records, not the run's counters, so faults degraded by shard
 // workers or by the run a checkpoint resumes are listed too.
-func finishCampaign(stats analysis.CampaignStats, errs []analysis.FaultError, degraded []analysis.DegradedFault) {
+func finishCampaign(res result) {
 	dumpFlight("completed")
 	shutdownObs()
-	if stats.Rescued > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: recovery ladder rescued %d of %d budget-blown fault(s) to exact results\n", stats.Rescued, stats.Retried)
+	if res.stats.Rescued > 0 {
+		fmt.Fprintf(os.Stderr, "diffprop: recovery ladder rescued %d of %d budget-blown fault(s) to exact results\n", res.stats.Rescued, res.stats.Retried)
 	}
-	if len(degraded) > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) blew the per-fault budget; their detectabilities are random-vector estimates (marked ~):\n", len(degraded))
+	if len(res.degraded) > 0 {
+		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) blew the per-fault budget; their detectabilities are random-vector estimates (marked ~):\n", len(res.degraded))
 		const maxListed = 20
-		for i, d := range degraded {
+		for i, d := range res.degraded {
 			if i == maxListed {
-				fmt.Fprintf(os.Stderr, "  ... and %d more\n", len(degraded)-maxListed)
+				fmt.Fprintf(os.Stderr, "  ... and %d more\n", len(res.degraded)-maxListed)
 				break
 			}
 			fmt.Fprintf(os.Stderr, "  %s\n", d)
 		}
 	}
-	if stats.Canceled {
+	if res.stats.Canceled {
 		fmt.Fprintln(os.Stderr, "diffprop: campaign cancelled; unanalyzed faults are marked skipped")
 	}
-	if len(errs) > 0 {
-		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) failed to analyze:\n", len(errs))
-		for _, fe := range errs {
+	if len(res.errs) > 0 {
+		fmt.Fprintf(os.Stderr, "diffprop: %d fault(s) failed to analyze:\n", len(res.errs))
+		for _, fe := range res.errs {
 			fmt.Fprintf(os.Stderr, "  %s\n", fe)
 		}
 		os.Exit(2)

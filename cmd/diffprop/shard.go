@@ -10,14 +10,12 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/campaignflags"
 	"repro/internal/chaos"
-	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/supervise"
@@ -34,8 +32,8 @@ const exitOrphaned = 4
 
 // workerFlagSet carries the analysis flags a supervisor forwards to its
 // workers, so a worker derives exactly the campaign the supervisor
-// partitioned. campaign's flag-settable fields are rendered by
-// campaignflags.Args.
+// partitioned: both select the fault set from them with newCampaign.
+// campaign's flag-settable fields are rendered by campaignflags.Args.
 type workerFlagSet struct {
 	circuit, bench string
 	model          string
@@ -157,34 +155,6 @@ func (s *supervisorMode) supervise(ctx context.Context, store supervise.Store, t
 	return res.Records
 }
 
-// stuckAtStore adapts a stuck-at campaign to the supervisor's Store.
-type stuckAtStore struct {
-	w  *netlist.Circuit
-	fs []faults.StuckAt
-}
-
-func (s stuckAtStore) Header(lo, hi int) analysis.CheckpointHeader {
-	return analysis.StuckAtCheckpointHeader(s.w, s.fs[lo:hi]).WithShard(lo, hi)
-}
-
-func (s stuckAtStore) QuarantineRecord(global int) (json.RawMessage, error) {
-	return json.Marshal(analysis.StuckAtRecord{Fault: s.fs[global], Err: quarantineErr})
-}
-
-// bridgingStore adapts a bridging campaign to the supervisor's Store.
-type bridgingStore struct {
-	w  *netlist.Circuit
-	bs []faults.Bridging
-}
-
-func (s bridgingStore) Header(lo, hi int) analysis.CheckpointHeader {
-	return analysis.BridgingCheckpointHeader(s.w, s.bs[lo:hi]).WithShard(lo, hi)
-}
-
-func (s bridgingStore) QuarantineRecord(global int) (json.RawMessage, error) {
-	return json.Marshal(analysis.BridgingRecord{Fault: s.bs[global], Err: quarantineErr})
-}
-
 // finishSharded persists the merged records as the campaign checkpoint
 // (full-set header, ascending index order — directly usable by a later
 // unsupervised -resume) and returns them as the resume map for the final
@@ -205,26 +175,17 @@ func (s *supervisorMode) finishSharded(records map[int]json.RawMessage, hdr anal
 	return ccfg
 }
 
-// runShardedStuckAt is the -shards path of the stuckat model.
-func runShardedStuckAt(ctx context.Context, s *supervisorMode, c *netlist.Circuit, w *netlist.Circuit, fs []faults.StuckAt, ccfg analysis.CampaignConfig) analysis.StuckAtStudy {
-	records := s.supervise(ctx, stuckAtStore{w: w, fs: fs}, len(fs))
-	ccfg = s.finishSharded(records, analysis.StuckAtCheckpointHeader(w, fs), ccfg)
-	study, err := analysis.RunStuckAtCampaign(c, nil, fs, ccfg)
+// run is the -shards path: it supervises the workers over camp's faults,
+// merges their records into the campaign checkpoint and rebuilds the
+// study from them.
+func (s *supervisorMode) run(ctx context.Context, c *netlist.Circuit, camp campaign, ccfg analysis.CampaignConfig) result {
+	records := s.supervise(ctx, camp, camp.faults)
+	ccfg = s.finishSharded(records, camp.header(0, camp.faults), ccfg)
+	res, err := camp.run(c, 0, camp.faults, ccfg)
 	if err != nil {
 		fatal(err)
 	}
-	return study
-}
-
-// runShardedBridging is the -shards path of the and/or models.
-func runShardedBridging(ctx context.Context, s *supervisorMode, c *netlist.Circuit, w *netlist.Circuit, set []faults.Bridging, kind faults.BridgeKind, pop int, sampled bool, ccfg analysis.CampaignConfig) analysis.BridgingStudy {
-	records := s.supervise(ctx, bridgingStore{w: w, bs: set}, len(set))
-	ccfg = s.finishSharded(records, analysis.BridgingCheckpointHeader(w, set), ccfg)
-	study, err := analysis.RunBridgingCampaign(c, nil, set, kind, pop, sampled, ccfg)
-	if err != nil {
-		fatal(err)
-	}
-	return study
+	return res
 }
 
 // workerMode is the -worker-shard configuration: one shard of the fault
@@ -233,12 +194,6 @@ type workerMode struct {
 	shard    string
 	attempt  int
 	hbEvery  time.Duration
-	model    string
-	stride   int
-	max      int
-	maxBFs   int
-	theta    float64
-	seed     int64
 	ckptPath string
 	chaosCfg *chaos.Config
 	ccfg     analysis.CampaignConfig
@@ -258,7 +213,7 @@ func heartbeatPeriod(timeout time.Duration) time.Duration {
 // run analyzes the worker's shard and exits the process: 0 after a done
 // message, 1 on a fatal error, exitOrphaned when the supervisor's stdin
 // pipe reaches EOF. It never returns.
-func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
+func (m *workerMode) run(c *netlist.Circuit, camp campaign) {
 	lo, hi, err := supervise.ParseRange(m.shard)
 	if err != nil {
 		fatal(err)
@@ -275,76 +230,29 @@ func (m *workerMode) run(c *netlist.Circuit, w *netlist.Circuit) {
 		fmt.Fprintf(os.Stderr, "diffprop: worker %s: supervisor is gone; exiting\n", m.shard)
 		os.Exit(exitOrphaned)
 	})
-
-	var (
-		hdr   analysis.CheckpointHeader
-		runIt func(cp *analysis.Checkpointer, resume map[int]json.RawMessage) (int, error)
-	)
-	switch strings.ToLower(m.model) {
-	case "stuckat", "sa":
-		fs, _ := selectFaults(faults.CheckpointStuckAts(w), m.stride, m.max)
-		if hi > len(fs) {
-			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(fs)))
-		}
-		sub := fs[lo:hi]
-		hdr = analysis.StuckAtCheckpointHeader(w, sub).WithShard(lo, hi)
-		runIt = func(cp *analysis.Checkpointer, resume map[int]json.RawMessage) (int, error) {
-			ccfg := m.campaignConfig(cp, resume, lo, rep)
-			study, err := analysis.RunStuckAtCampaign(c, nil, sub, ccfg)
-			n := 0
-			for _, r := range study.Records {
-				if !r.Skipped {
-					n++
-				}
-			}
-			return n, err
-		}
-	case "and", "or":
-		kind := faults.WiredAND
-		if strings.ToLower(m.model) == "or" {
-			kind = faults.WiredOR
-		}
-		set, _, _ := analysis.BridgingSet(w, kind, m.maxBFs, m.theta, m.seed)
-		set, _ = selectFaults(set, m.stride, m.max)
-		if hi > len(set) {
-			workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, len(set)))
-		}
-		sub := set[lo:hi]
-		hdr = analysis.BridgingCheckpointHeader(w, sub).WithShard(lo, hi)
-		runIt = func(cp *analysis.Checkpointer, resume map[int]json.RawMessage) (int, error) {
-			ccfg := m.campaignConfig(cp, resume, lo, rep)
-			study, err := analysis.RunBridgingCampaign(c, nil, sub, kind, len(sub), false, ccfg)
-			n := 0
-			for _, r := range study.Records {
-				if !r.Skipped {
-					n++
-				}
-			}
-			return n, err
-		}
-	default:
-		workerFatal(fmt.Errorf("unknown fault model %q", m.model))
+	if hi > camp.faults {
+		workerFatal(fmt.Errorf("worker shard %s exceeds the %d-fault set (flag drift between supervisor and worker)", m.shard, camp.faults))
 	}
 
-	cp, resume, err := analysis.ResumeCheckpoint(m.ckptPath, hdr)
+	cp, resume, err := analysis.ResumeCheckpoint(m.ckptPath, camp.Header(lo, hi))
 	if err != nil {
 		workerFatal(err)
 	}
 	rep.Hello(os.Getpid(), hi-lo)
 	rep.Heartbeat(len(resume))
-	n, err := runIt(cp, resume)
+	res, err := camp.run(c, lo, hi, m.campaignConfig(cp, resume, lo, rep))
 	if cerr := cp.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
 		workerFatal(err)
 	}
-	if n < hi-lo {
+	if n := res.analyzed; n < hi-lo {
 		// Cancelled or partially skipped: this is not a completed shard,
 		// and claiming so would merge skip markers into the campaign.
 		workerFatal(fmt.Errorf("worker %s finished only %d of %d faults", m.shard, n, hi-lo))
 	}
-	rep.Done(n)
+	rep.Done(res.analyzed)
 	shutdownObs()
 	os.Exit(0)
 }

@@ -153,6 +153,27 @@ func TestSupervisedBitIdenticalToSingleProcess(t *testing.T) {
 		prefix[i] = want[i]
 	}
 	identicalExcept(t, checkpointRecords(t, ckpt), prefix, nil)
+
+	// The bridging models take the same sharded path: stdout and the
+	// merged records match the in-process run.
+	for _, model := range []string{"and", "or"} {
+		run := func(extra ...string) (string, map[int]string) {
+			t.Helper()
+			ckpt := filepath.Join(dir, fmt.Sprintf("%s-%d.jsonl", model, len(extra)))
+			args := append([]string{"-circuit", "c17", "-model", model, "-summary", "-checkpoint", ckpt}, extra...)
+			stdout, stderr, code := runDiffprop(t, args...)
+			if code != 0 {
+				t.Fatalf("%v exited %d:\n%s", args, code, stderr)
+			}
+			return stdout, checkpointRecords(t, ckpt)
+		}
+		wantOut, wantRecs := run()
+		gotOut, gotRecs := run("-shards", "3", "-shard-dir", filepath.Join(dir, model+"-shards"))
+		if gotOut != wantOut {
+			t.Errorf("-model %s: stdout differs:\n%s\nwant\n%s", model, gotOut, wantOut)
+		}
+		identicalExcept(t, gotRecs, wantRecs, nil)
+	}
 }
 
 // degradedList returns the "blew the per-fault budget" block of a run's

@@ -8,6 +8,7 @@ package analysis
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/netlist"
+	"repro/internal/simulate"
 )
 
 // StuckAtRecord is the full analysis of one stuck-at fault.
@@ -99,61 +101,161 @@ type BridgingStudy struct {
 	Stats CampaignStats
 }
 
-// siteDistances returns (max levels to PO, level) for a stuck-at site.
-// Branch faults sit at the consumer gate's input, one level above the
-// gate's own distance.
-func siteDistances(c *netlist.Circuit, f faults.StuckAt, toPO, levels []int) (int, int) {
-	if f.IsBranch() {
-		d := toPO[f.Gate]
-		if d >= 0 {
-			d++
+// distances holds the working circuit's per-net distance tables that
+// records read: Circuit.MaxLevelsToPO and Circuit.Levels.
+type distances struct{ toPO, levels []int }
+
+func distancesOf(c *netlist.Circuit) distances {
+	return distances{toPO: c.MaxLevelsToPO(), levels: c.Levels()}
+}
+
+// faultModel is what the campaign stack knows about one fault model, F
+// its fault type and R its record type. The recover scope, the recovery
+// ladder, dispatch, checkpointing, the checkpoint fingerprint and the
+// study accessors are written once over it; stuckAtModel and
+// bridgingModel are its two values. Difference Propagation scores both
+// models the same way, and only the seed differs.
+type faultModel[F, R any] struct {
+	// kind names the model in checkpoint headers and campaign labels.
+	kind string
+	// exact analyzes f exactly. A budget or node-limit abort panics out.
+	exact func(e *diffprop.Engine, f F, d distances) R
+	// estimate is f's degraded record: the detectability estimated by
+	// est, plus the fields that need no BDD of f.
+	estimate func(e *diffprop.Engine, est *simulate.Estimator, f F, d distances) R
+	// failed is f's record when its analysis panicked with msg; skipped
+	// is its record when the campaign never reached it.
+	failed  func(f F, msg string) R
+	skipped func(f F) R
+	// describe names f with c's net names (nil c: net numbers).
+	describe func(f F, c *netlist.Circuit) string
+	// fingerprint writes f's line of the checkpoint fingerprint.
+	fingerprint func(w io.Writer, f F)
+	// view returns r's fault and the fields the study accessors read.
+	view func(r R) (F, recordView)
+	// unitSite names the primary input f sits on, or -1 for a fault that
+	// is analyzed alone, and unit answers the faults fs[idx] of one site
+	// from one shared analysis (ok false: it aborted and each fault takes
+	// the per-fault path). Both are nil for a model without shared units.
+	unitSite func(c *netlist.Circuit, f F) int
+	unit     func(e *diffprop.Engine, fs []F, idx []int, d distances) (recs []R, ok bool)
+}
+
+// recordView is the part of a record the study accessors read; both
+// record types carry these fields under the same names.
+type recordView struct {
+	detectability   float64
+	adherence       float64
+	adherenceOK     bool
+	maxLevelsToPO   int
+	approximate     bool
+	estimateVectors int
+	err             string
+}
+
+var stuckAtModel = faultModel[faults.StuckAt, StuckAtRecord]{
+	kind: "stuckat",
+	exact: func(e *diffprop.Engine, f faults.StuckAt, d distances) StuckAtRecord {
+		return recordStuckAt(e, f, e.StuckAt(f), d)
+	},
+	// The syndrome bound is still exact: SatFrac counts over the (intact)
+	// good functions without building nodes. Adherence and observability
+	// need the aborted test-set BDD, so they stay unset.
+	estimate: func(e *diffprop.Engine, est *simulate.Estimator, f faults.StuckAt, d distances) StuckAtRecord {
+		r := stuckAtSite(e.Circuit, f, d)
+		r.Detectability = est.StuckAt(f)
+		r.UpperBound = e.StuckAtUpperBound(f)
+		r.Approximate = true
+		r.EstimateVectors = est.Vectors()
+		return r
+	},
+	failed:   func(f faults.StuckAt, msg string) StuckAtRecord { return StuckAtRecord{Fault: f, Err: msg} },
+	skipped:  func(f faults.StuckAt) StuckAtRecord { return StuckAtRecord{Fault: f, Skipped: true} },
+	describe: faults.StuckAt.Describe,
+	fingerprint: func(w io.Writer, f faults.StuckAt) {
+		fmt.Fprintf(w, "%d,%d,%d,%t\n", f.Net, f.Gate, f.Pin, f.Stuck)
+	},
+	view: func(r StuckAtRecord) (faults.StuckAt, recordView) {
+		return r.Fault, recordView{r.Detectability, r.Adherence, r.AdherenceOK, r.MaxLevelsToPO, r.Approximate, r.EstimateVectors, r.Err}
+	},
+	unitSite: func(c *netlist.Circuit, f faults.StuckAt) int {
+		// A malformed site stays alone, to earn its per-fault error record.
+		if !f.IsBranch() && f.Net >= 0 && f.Net < c.NumNets() && c.IsInput(f.Net) {
+			return f.Net
 		}
-		return d, levels[f.Net]
-	}
-	return toPO[f.Net], levels[f.Net]
+		return -1
+	},
+	unit: tryStuckAtUnit,
 }
 
-// stuckAtRecord analyzes one stuck-at fault. It is the single source of
-// truth for both the serial and the work-stealing runners, which keeps
-// parallel results bit-identical to serial ones by construction.
-func stuckAtRecord(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int) StuckAtRecord {
-	return recordStuckAt(e, f, e.StuckAt(f), toPO, levels)
+var bridgingModel = faultModel[faults.Bridging, BridgingRecord]{
+	kind: "bridging",
+	exact: func(e *diffprop.Engine, b faults.Bridging, d distances) BridgingRecord {
+		res := e.Bridging(b)
+		r := bridgingSite(e.Circuit, b, d)
+		r.Detectability = res.Detectability
+		r.UpperBound = e.BridgingUpperBound(b)
+		r.Adherence, r.AdherenceOK = diffprop.Adherence(res.Detectability, r.UpperBound)
+		r.ObservedPOs = len(res.ObservedPOs)
+		r.ActsStuckAt = e.BridgeActsStuckAt(b)
+		return r
+	},
+	// A budget blow implies the bridge already passed the engine's
+	// feedback screen, so the estimator's own screen cannot fire. The
+	// excitation bound |f_u XOR f_v| would need a fresh BDD build, so it
+	// stays unset (AdherenceOK false marks it unusable), as do the
+	// stuck-at classification and observability fields.
+	estimate: func(e *diffprop.Engine, est *simulate.Estimator, b faults.Bridging, d distances) BridgingRecord {
+		r := bridgingSite(e.Circuit, b, d)
+		r.Detectability = est.Bridging(b)
+		r.Approximate = true
+		r.EstimateVectors = est.Vectors()
+		return r
+	},
+	failed:   func(b faults.Bridging, msg string) BridgingRecord { return BridgingRecord{Fault: b, Err: msg} },
+	skipped:  func(b faults.Bridging) BridgingRecord { return BridgingRecord{Fault: b, Skipped: true} },
+	describe: faults.Bridging.Describe,
+	fingerprint: func(w io.Writer, b faults.Bridging) {
+		fmt.Fprintf(w, "%d,%d,%d\n", b.U, b.V, b.Kind)
+	},
+	view: func(r BridgingRecord) (faults.Bridging, recordView) {
+		return r.Fault, recordView{r.Detectability, r.Adherence, r.AdherenceOK, r.MaxLevelsToPO, r.Approximate, r.EstimateVectors, r.Err}
+	},
 }
 
-// recordStuckAt builds the record of fault f from its analysis result.
-func recordStuckAt(e *diffprop.Engine, f faults.StuckAt, res diffprop.Result, toPO, levels []int) StuckAtRecord {
-	c := e.Circuit
-	ub := e.StuckAtUpperBound(f)
-	a, ok := diffprop.Adherence(res.Detectability, ub)
-	dist, lvl := siteDistances(c, f, toPO, levels)
-	// A branch fault reaches the outputs only through its consumer
-	// gate, so its fed-PO set is the gate's cone, not the stem's.
+// stuckAtSite returns f's record with only the structural fields set.
+// A branch fault sits at the consumer gate's input, one level above the
+// gate's own distance, and reaches the outputs only through that gate,
+// so its fed-PO set is the gate's cone, not the stem's.
+func stuckAtSite(c *netlist.Circuit, f faults.StuckAt, d distances) StuckAtRecord {
+	r := StuckAtRecord{Fault: f, MaxLevelsToPO: d.toPO[f.Net], LevelFromPI: d.levels[f.Net]}
 	fedSite := f.Net
 	if f.IsBranch() {
 		fedSite = f.Gate
+		r.MaxLevelsToPO = d.toPO[f.Gate]
+		if r.MaxLevelsToPO >= 0 {
+			r.MaxLevelsToPO++
+		}
 	}
-	return StuckAtRecord{
-		Fault:          f,
-		Detectability:  res.Detectability,
-		UpperBound:     ub,
-		Adherence:      a,
-		AdherenceOK:    ok,
-		ObservedPOs:    len(res.ObservedPOs),
-		POsFed:         len(c.POsFed(fedSite)),
-		MaxLevelsToPO:  dist,
-		LevelFromPI:    lvl,
-		IsPOFault:      !f.IsBranch() && c.IsOutput(f.Net),
-		GatesEvaluated: res.GatesEvaluated,
-	}
+	r.POsFed = len(c.POsFed(fedSite))
+	r.IsPOFault = !f.IsBranch() && c.IsOutput(f.Net)
+	return r
 }
 
-// bridgingRecord analyzes one bridging fault (shared by the serial and
-// work-stealing runners, like stuckAtRecord).
-func bridgingRecord(e *diffprop.Engine, b faults.Bridging, toPO []int) BridgingRecord {
-	c := e.Circuit
-	res := e.Bridging(b)
-	ub := e.BridgingUpperBound(b)
-	a, ok := diffprop.Adherence(res.Detectability, ub)
+// recordStuckAt builds the record of fault f from its analysis result.
+func recordStuckAt(e *diffprop.Engine, f faults.StuckAt, res diffprop.Result, d distances) StuckAtRecord {
+	r := stuckAtSite(e.Circuit, f, d)
+	r.Detectability = res.Detectability
+	r.UpperBound = e.StuckAtUpperBound(f)
+	r.Adherence, r.AdherenceOK = diffprop.Adherence(res.Detectability, r.UpperBound)
+	r.ObservedPOs = len(res.ObservedPOs)
+	r.GatesEvaluated = res.GatesEvaluated
+	return r
+}
+
+// bridgingSite returns b's record with only the structural fields set:
+// the outputs either wire feeds and the larger of their distances.
+func bridgingSite(c *netlist.Circuit, b faults.Bridging, d distances) BridgingRecord {
 	fed := map[int]bool{}
 	for _, po := range c.POsFed(b.U) {
 		fed[po] = true
@@ -161,21 +263,7 @@ func bridgingRecord(e *diffprop.Engine, b faults.Bridging, toPO []int) BridgingR
 	for _, po := range c.POsFed(b.V) {
 		fed[po] = true
 	}
-	dist := toPO[b.U]
-	if toPO[b.V] > dist {
-		dist = toPO[b.V]
-	}
-	return BridgingRecord{
-		Fault:         b,
-		Detectability: res.Detectability,
-		UpperBound:    ub,
-		Adherence:     a,
-		AdherenceOK:   ok,
-		ObservedPOs:   len(res.ObservedPOs),
-		POsFed:        len(fed),
-		MaxLevelsToPO: dist,
-		ActsStuckAt:   e.BridgeActsStuckAt(b),
-	}
+	return BridgingRecord{Fault: b, POsFed: len(fed), MaxLevelsToPO: max(d.toPO[b.U], d.toPO[b.V])}
 }
 
 // stuckAtHeader fills the study fields derived from the working circuit.
@@ -209,32 +297,30 @@ func bridgingHeader(c *netlist.Circuit, kind faults.BridgeKind, population int, 
 // per-fault error (or degraded estimate) at that index and the remaining
 // faults complete normally.
 func RunStuckAt(e *diffprop.Engine, fs []faults.StuckAt) StuckAtStudy {
-	c := e.Circuit
-	toPO := c.MaxLevelsToPO()
-	levels := c.Levels()
-	fb := new(fallback)
-	study := stuckAtHeader(c)
-	study.Records = make([]StuckAtRecord, 0, len(fs))
-	for _, f := range fs {
-		rec, _ := analyzeStuckAt(e, f, toPO, levels, fb, nil, nil)
-		study.Records = append(study.Records, rec)
-	}
+	study := stuckAtHeader(e.Circuit)
+	study.Records = runSerial(stuckAtModel, e, fs)
 	return study
 }
 
 // RunBridging analyzes every bridging fault in the set. Panic isolation
 // and budget degradation behave as in RunStuckAt.
 func RunBridging(e *diffprop.Engine, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool) BridgingStudy {
-	c := e.Circuit
-	toPO := c.MaxLevelsToPO()
-	fb := new(fallback)
-	study := bridgingHeader(c, kind, population, sampled)
-	study.Records = make([]BridgingRecord, 0, len(bs))
-	for _, b := range bs {
-		rec, _ := analyzeBridging(e, b, toPO, fb, nil, nil)
-		study.Records = append(study.Records, rec)
-	}
+	study := bridgingHeader(e.Circuit, kind, population, sampled)
+	study.Records = runSerial(bridgingModel, e, bs)
 	return study
+}
+
+// runSerial analyzes fs in order on e, one fault at a time: the serial
+// reference the campaign runners are tested against.
+func runSerial[F, R any](m faultModel[F, R], e *diffprop.Engine, fs []F) []R {
+	d := distancesOf(e.Circuit)
+	fb := new(fallback)
+	records := make([]R, 0, len(fs))
+	for _, f := range fs {
+		rec, _ := analyze(m, e, f, d, fb, nil, nil)
+		records = append(records, rec)
+	}
+	return records
 }
 
 // BridgingSet reproduces the paper's fault-set policy (§2.2): the entire
@@ -291,22 +377,16 @@ func (e FaultError) String() string {
 
 // Errors lists the faults whose analysis panicked, in index order. A
 // non-empty result means the study is complete except at those indices.
-func (s StuckAtStudy) Errors() []FaultError {
-	var out []FaultError
-	for i, r := range s.Records {
-		if r.Err != "" {
-			out = append(out, FaultError{Index: i, Fault: r.Fault.String(), Err: r.Err})
-		}
-	}
-	return out
-}
+func (s StuckAtStudy) Errors() []FaultError { return faultErrors(stuckAtModel, s.Records) }
 
 // Errors lists the faults whose analysis panicked, in index order.
-func (s BridgingStudy) Errors() []FaultError {
+func (s BridgingStudy) Errors() []FaultError { return faultErrors(bridgingModel, s.Records) }
+
+func faultErrors[F, R any](m faultModel[F, R], rs []R) []FaultError {
 	var out []FaultError
-	for i, r := range s.Records {
-		if r.Err != "" {
-			out = append(out, FaultError{Index: i, Fault: r.Fault.String(), Err: r.Err})
+	for i, r := range rs {
+		if f, v := m.view(r); v.err != "" {
+			out = append(out, FaultError{Index: i, Fault: m.describe(f, nil), Err: v.err})
 		}
 	}
 	return out
@@ -331,62 +411,51 @@ func (d DegradedFault) String() string {
 // Records are index-aligned by construction, so the order is deterministic
 // regardless of how the work-stealing workers interleaved.
 func (s StuckAtStudy) DegradedFaults() []DegradedFault {
-	var out []DegradedFault
-	for i, r := range s.Records {
-		if r.Approximate {
-			out = append(out, DegradedFault{Index: i, Fault: r.Fault.String(), Detectability: r.Detectability, Vectors: r.EstimateVectors})
-		}
-	}
-	return out
+	return degradedFaults(stuckAtModel, s.Records)
 }
 
 // DegradedFaults lists the budget-degraded bridging faults sorted by
 // fault index (see StuckAtStudy.DegradedFaults).
 func (s BridgingStudy) DegradedFaults() []DegradedFault {
+	return degradedFaults(bridgingModel, s.Records)
+}
+
+func degradedFaults[F, R any](m faultModel[F, R], rs []R) []DegradedFault {
 	var out []DegradedFault
-	for i, r := range s.Records {
-		if r.Approximate {
-			out = append(out, DegradedFault{Index: i, Fault: r.Fault.String(), Detectability: r.Detectability, Vectors: r.EstimateVectors})
+	for i, r := range rs {
+		if f, v := m.view(r); v.approximate {
+			out = append(out, DegradedFault{Index: i, Fault: m.describe(f, nil), Detectability: v.detectability, Vectors: v.estimateVectors})
 		}
 	}
 	return out
 }
 
 // Detectabilities extracts the detectability of every fault in the study.
-func (s StuckAtStudy) Detectabilities() []float64 {
-	out := make([]float64, len(s.Records))
-	for i, r := range s.Records {
-		out[i] = r.Detectability
-	}
-	return out
-}
+func (s StuckAtStudy) Detectabilities() []float64 { return detectabilities(stuckAtModel, s.Records) }
 
 // Detectabilities extracts the detectability of every fault in the study.
-func (s BridgingStudy) Detectabilities() []float64 {
-	out := make([]float64, len(s.Records))
-	for i, r := range s.Records {
-		out[i] = r.Detectability
+func (s BridgingStudy) Detectabilities() []float64 { return detectabilities(bridgingModel, s.Records) }
+
+func detectabilities[F, R any](m faultModel[F, R], rs []R) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		_, v := m.view(r)
+		out[i] = v.detectability
 	}
 	return out
 }
 
 // Adherences extracts the adherence of every excitable fault.
-func (s StuckAtStudy) Adherences() []float64 {
-	var out []float64
-	for _, r := range s.Records {
-		if r.AdherenceOK {
-			out = append(out, r.Adherence)
-		}
-	}
-	return out
-}
+func (s StuckAtStudy) Adherences() []float64 { return adherences(stuckAtModel, s.Records) }
 
 // Adherences extracts the adherence of every excitable fault.
-func (s BridgingStudy) Adherences() []float64 {
+func (s BridgingStudy) Adherences() []float64 { return adherences(bridgingModel, s.Records) }
+
+func adherences[F, R any](m faultModel[F, R], rs []R) []float64 {
 	var out []float64
-	for _, r := range s.Records {
-		if r.AdherenceOK {
-			out = append(out, r.Adherence)
+	for _, r := range rs {
+		if _, v := m.view(r); v.adherenceOK {
+			out = append(out, v.adherence)
 		}
 	}
 	return out
@@ -467,21 +536,19 @@ type DistancePoint struct {
 // to a primary output and returns the per-bucket mean detectability —
 // Figures 3 and 8.
 func (s StuckAtStudy) CurveByMaxLevelsToPO() []DistancePoint {
-	pts := map[int][]float64{}
-	for _, r := range s.Records {
-		if r.Detectable() && r.MaxLevelsToPO >= 0 {
-			pts[r.MaxLevelsToPO] = append(pts[r.MaxLevelsToPO], r.Detectability)
-		}
-	}
-	return curveFromBuckets(pts)
+	return curveByMaxLevelsToPO(stuckAtModel, s.Records)
 }
 
 // CurveByMaxLevelsToPO groups detectable bridging faults by distance.
 func (s BridgingStudy) CurveByMaxLevelsToPO() []DistancePoint {
+	return curveByMaxLevelsToPO(bridgingModel, s.Records)
+}
+
+func curveByMaxLevelsToPO[F, R any](m faultModel[F, R], rs []R) []DistancePoint {
 	pts := map[int][]float64{}
-	for _, r := range s.Records {
-		if r.Detectable() && r.MaxLevelsToPO >= 0 {
-			pts[r.MaxLevelsToPO] = append(pts[r.MaxLevelsToPO], r.Detectability)
+	for _, r := range rs {
+		if _, v := m.view(r); v.detectability > 0 && v.maxLevelsToPO >= 0 {
+			pts[v.maxLevelsToPO] = append(pts[v.maxLevelsToPO], v.detectability)
 		}
 	}
 	return curveFromBuckets(pts)

@@ -28,6 +28,39 @@ func chaosFixture(t *testing.T) (*netlist.Circuit, []faults.StuckAt) {
 	return c, fs
 }
 
+// chaosCase is one campaign the storm tests run: the c95s stuck-at
+// fixture and a c95s wired-AND set go through the same runner, so both
+// must come out of the same storms the same way.
+type chaosCase struct {
+	name   string
+	faults int
+	run    func(t *testing.T, cfg CampaignConfig) (records any, stats CampaignStats, degraded []DegradedFault)
+}
+
+func chaosCases(t *testing.T) []chaosCase {
+	t.Helper()
+	c, fs := chaosFixture(t)
+	set, pop, sampled := BridgingSet(c.Decompose2(), faults.WiredAND, 200, 0.3, 1990)
+	return []chaosCase{
+		{"stuckat", len(fs), func(t *testing.T, cfg CampaignConfig) (any, CampaignStats, []DegradedFault) {
+			t.Helper()
+			s, err := RunStuckAtCampaign(c, nil, fs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Records, s.Stats, s.DegradedFaults()
+		}},
+		{"bridging", len(set), func(t *testing.T, cfg CampaignConfig) (any, CampaignStats, []DegradedFault) {
+			t.Helper()
+			s, err := RunBridgingCampaign(c, nil, set, faults.WiredAND, pop, sampled, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Records, s.Stats, s.DegradedFaults()
+		}},
+	}
+}
+
 // TestChaosRescuedRecordsBitIdentical injects a storm of forced budget
 // aborts into half the faults of a campaign whose recovery ladder has a
 // retry rung, and demands the storm run's records be bit-identical to an
@@ -35,36 +68,34 @@ func chaosFixture(t *testing.T) (*netlist.Circuit, []faults.StuckAt) {
 // so the relaxed retry completes exactly and the rescue leaves no trace in
 // the results.
 func TestChaosRescuedRecordsBitIdentical(t *testing.T) {
-	c, fs := chaosFixture(t)
-	base := CampaignConfig{
-		Workers:  3,
-		FaultOps: 50_000_000,
-		Recovery: diffprop.Recovery{RetryMultiplier: 8},
-	}
-	clean, err := RunStuckAtCampaign(c, nil, fs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storm := base
-	storm.Chaos = &chaos.Config{Seed: 7, Rules: []chaos.Rule{
-		{Point: chaos.PointBudget, Prob: 0.5},
-		{Point: chaos.PointNodeLimit, Prob: 0.2},
-	}}
-	stormed, err := RunStuckAtCampaign(c, nil, fs, storm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stormed.Stats.ChaosInjected == 0 {
-		t.Fatal("storm run injected nothing")
-	}
-	if stormed.Stats.Rescued == 0 {
-		t.Fatal("storm run rescued nothing; injected aborts never reached the retry rung")
-	}
-	if stormed.Stats.Degraded != 0 {
-		t.Fatalf("storm run degraded %d faults; every injected abort should be rescued", stormed.Stats.Degraded)
-	}
-	if !reflect.DeepEqual(stormed.Records, clean.Records) {
-		t.Fatal("rescued records are not bit-identical to the clean run")
+	for _, tc := range chaosCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			base := CampaignConfig{
+				Workers:  3,
+				FaultOps: 50_000_000,
+				Recovery: diffprop.Recovery{RetryMultiplier: 8},
+			}
+			clean, _, _ := tc.run(t, base)
+			storm := base
+			storm.Chaos = &chaos.Config{Seed: 7, Rules: []chaos.Rule{
+				{Point: chaos.PointBudget, Prob: 0.5},
+				{Point: chaos.PointNodeLimit, Prob: 0.2},
+			}}
+			stormed, stats, _ := tc.run(t, storm)
+			t.Logf("%d faults: %d injected, %d rescued, %d degraded", tc.faults, stats.ChaosInjected, stats.Rescued, stats.Degraded)
+			if stats.ChaosInjected == 0 {
+				t.Fatal("storm run injected nothing")
+			}
+			if stats.Rescued == 0 {
+				t.Fatal("storm run rescued nothing; injected aborts never reached the retry rung")
+			}
+			if stats.Degraded != 0 {
+				t.Fatalf("storm run degraded %d faults; every injected abort should be rescued", stats.Degraded)
+			}
+			if !reflect.DeepEqual(stormed, clean) {
+				t.Fatal("rescued records are not bit-identical to the clean run")
+			}
+		})
 	}
 }
 
@@ -74,40 +105,39 @@ func TestChaosRescuedRecordsBitIdentical(t *testing.T) {
 // records must be identical across worker counts and across reruns with
 // the same chaos seed.
 func TestChaosDegradationDeterministic(t *testing.T) {
-	c, fs := chaosFixture(t)
-	run := func(workers int) StuckAtStudy {
-		t.Helper()
-		study, err := RunStuckAtCampaign(c, nil, fs, CampaignConfig{
-			Workers: workers,
-			Chaos: &chaos.Config{Seed: 42, Rules: []chaos.Rule{
-				{Point: chaos.PointBudget, Prob: 0.3, AtOp: 1},
-			}},
+	for _, tc := range chaosCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := func(workers int) CampaignConfig {
+				return CampaignConfig{
+					Workers: workers,
+					Chaos: &chaos.Config{Seed: 42, Rules: []chaos.Rule{
+						{Point: chaos.PointBudget, Prob: 0.3, AtOp: 1},
+					}},
+				}
+			}
+			serial, stats, serialDeg := tc.run(t, cfg(1))
+			t.Logf("%d of %d faults degraded", stats.Degraded, tc.faults)
+			if stats.Degraded == 0 {
+				t.Fatal("no fault degraded; the storm never fired")
+			}
+			if stats.Degraded == tc.faults {
+				t.Fatal("every fault degraded; storm too dense to test determinism")
+			}
+			parallel, _, parallelDeg := tc.run(t, cfg(4))
+			rerun, _, rerunDeg := tc.run(t, cfg(4))
+			if !reflect.DeepEqual(parallel, serial) {
+				t.Fatal("records differ between 1 and 4 workers under the same chaos seed")
+			}
+			if !reflect.DeepEqual(rerun, parallel) {
+				t.Fatal("records differ between reruns with the same chaos seed")
+			}
+			if !reflect.DeepEqual(parallelDeg, serialDeg) {
+				t.Fatal("DegradedFaults differ between 1 and 4 workers")
+			}
+			if !reflect.DeepEqual(rerunDeg, parallelDeg) {
+				t.Fatal("DegradedFaults differ between reruns")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return study
-	}
-	serial := run(1)
-	if serial.Stats.Degraded == 0 {
-		t.Fatal("no fault degraded; the storm never fired")
-	}
-	if serial.Stats.Degraded == len(fs) {
-		t.Fatal("every fault degraded; storm too dense to test determinism")
-	}
-	parallel := run(4)
-	rerun := run(4)
-	if !reflect.DeepEqual(parallel.Records, serial.Records) {
-		t.Fatal("records differ between 1 and 4 workers under the same chaos seed")
-	}
-	if !reflect.DeepEqual(rerun.Records, parallel.Records) {
-		t.Fatal("records differ between reruns with the same chaos seed")
-	}
-	if !reflect.DeepEqual(parallel.DegradedFaults(), serial.DegradedFaults()) {
-		t.Fatal("DegradedFaults differ between 1 and 4 workers")
-	}
-	if !reflect.DeepEqual(rerun.DegradedFaults(), parallel.DegradedFaults()) {
-		t.Fatal("DegradedFaults differ between reruns")
 	}
 }
 

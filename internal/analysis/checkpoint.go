@@ -112,32 +112,25 @@ func (h CheckpointHeader) WithShard(lo, hi int) CheckpointHeader {
 // StuckAtCheckpointHeader builds the header for a stuck-at campaign over
 // the working circuit c and fault set fs (in campaign index order).
 func StuckAtCheckpointHeader(c *netlist.Circuit, fs []faults.StuckAt) CheckpointHeader {
-	h := sha256.New()
-	fmt.Fprintf(h, "stuckat|%s|%d|%d\n", c.Name, c.NumNets(), len(fs))
-	for _, f := range fs {
-		fmt.Fprintf(h, "%d,%d,%d,%t\n", f.Net, f.Gate, f.Pin, f.Stuck)
-	}
-	return CheckpointHeader{
-		Version:     CheckpointVersion,
-		Kind:        "stuckat",
-		Circuit:     c.Name,
-		Faults:      len(fs),
-		Fingerprint: hex.EncodeToString(h.Sum(nil)[:16]),
-	}
+	return checkpointHeader(stuckAtModel, c, fs)
 }
 
 // BridgingCheckpointHeader builds the header for a bridging campaign.
 func BridgingCheckpointHeader(c *netlist.Circuit, bs []faults.Bridging) CheckpointHeader {
+	return checkpointHeader(bridgingModel, c, bs)
+}
+
+func checkpointHeader[F, R any](m faultModel[F, R], c *netlist.Circuit, fs []F) CheckpointHeader {
 	h := sha256.New()
-	fmt.Fprintf(h, "bridging|%s|%d|%d\n", c.Name, c.NumNets(), len(bs))
-	for _, b := range bs {
-		fmt.Fprintf(h, "%d,%d,%d\n", b.U, b.V, b.Kind)
+	fmt.Fprintf(h, "%s|%s|%d|%d\n", m.kind, c.Name, c.NumNets(), len(fs))
+	for _, f := range fs {
+		m.fingerprint(h, f)
 	}
 	return CheckpointHeader{
 		Version:     CheckpointVersion,
-		Kind:        "bridging",
+		Kind:        m.kind,
 		Circuit:     c.Name,
-		Faults:      len(bs),
+		Faults:      len(fs),
 		Fingerprint: hex.EncodeToString(h.Sum(nil)[:16]),
 	}
 }

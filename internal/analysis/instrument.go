@@ -200,10 +200,9 @@ func (in *campaignInstr) record(e *diffprop.Engine, worker, i int, outcome fault
 	}
 }
 
-// ladderHook builds the budget-blow observer passed to analyzeStuckAt /
-// analyzeBridging for fault i on worker w, or nil when observability is
-// off — no closure is allocated then, preserving the zero-alloc disabled
-// hot path.
+// ladderHook builds the budget-blow observer passed to analyze for fault
+// i on worker w, or nil when observability is off — no closure is
+// allocated then, preserving the zero-alloc disabled hot path.
 func (in *campaignInstr) ladderHook(w, i int) func(attempt int, ops int64) {
 	if in == nil {
 		return nil

@@ -535,118 +535,93 @@ func resumeDecode(total int, resume map[int]json.RawMessage, decode func(i int, 
 // decomposition of c (the working circuit of any engine built from c),
 // which is deterministic.
 func RunStuckAtCampaign(c *netlist.Circuit, opts *diffprop.Options, fs []faults.StuckAt, cfg CampaignConfig) (StuckAtStudy, error) {
-	work, engines, err := prepareEngines(c, opts, len(fs), cfg)
-	if err != nil {
+	work, records, stats, err := runModel(stuckAtModel, c, opts, fs, cfg)
+	if work == nil {
 		return StuckAtStudy{}, err
-	}
-	toPO := work.MaxLevelsToPO()
-	levels := work.Levels()
-	records := make([]StuckAtRecord, len(fs))
-	skip, err := resumeDecode(len(fs), cfg.Resume, func(i int, raw json.RawMessage) error {
-		return json.Unmarshal(raw, &records[i])
-	})
-	if err != nil {
-		return StuckAtStudy{}, err
-	}
-	fb := new(fallback)
-	instr := newCampaignInstr(cfg, "stuckat "+work.Name, len(fs), func(i int) string {
-		return fs[i].Describe(work)
-	})
-	inj := newCampaignInjector(cfg, instr)
-	cal := newCalibrator(cfg, instr)
-	draws := newChaosDraws(inj, len(fs))
-	analyzed := make([]bool, len(fs))
-	units := newSiteUnits(len(fs), func(i int) int {
-		// A malformed site stays alone, to earn its per-fault error record.
-		if f := fs[i]; !f.IsBranch() && f.Net >= 0 && f.Net < work.NumNets() && work.IsInput(f.Net) {
-			return f.Net
-		}
-		return -1
-	}, func(e *diffprop.Engine, w int, idx []int) (bool, error) {
-		// A fault with a chaos injection keeps its per-fault semantics.
-		if draws.any(e, idx) {
-			return false, nil
-		}
-		recs, ok := tryStuckAtUnit(e, fs, idx, toPO, levels)
-		if !ok {
-			return false, nil
-		}
-		for k, i := range idx {
-			records[i] = recs[k]
-			analyzed[i] = true
-		}
-		if cfg.Checkpoint != nil {
-			for _, i := range idx {
-				if err := cfg.Checkpoint.Append(i, records[i]); err != nil {
-					return true, err
-				}
-			}
-		}
-		return true, nil
-	})
-	stats, runErr := runCampaign(engines, len(fs), cfg, skip, units, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
-		rec, outcome := analyzeStuckAt(e, fs[i], toPO, levels, fb, draws.hook(e, i), instr.ladderHook(w, i))
-		records[i] = rec
-		analyzed[i] = true
-		if cfg.Checkpoint != nil {
-			if err := cfg.Checkpoint.Append(i, rec); err != nil {
-				return outcome, err
-			}
-		}
-		return outcome, nil
-	})
-	for i := range records {
-		if !analyzed[i] && (skip == nil || !skip[i]) {
-			records[i] = StuckAtRecord{Fault: fs[i], Skipped: true}
-		}
 	}
 	study := stuckAtHeader(work)
-	study.Records = records
-	study.Stats = stats
-	return study, runErr
+	study.Records, study.Stats = records, stats
+	return study, err
 }
 
 // RunBridgingCampaign is the bridging-fault counterpart of
 // RunStuckAtCampaign.
 func RunBridgingCampaign(c *netlist.Circuit, opts *diffprop.Options, bs []faults.Bridging, kind faults.BridgeKind, population int, sampled bool, cfg CampaignConfig) (BridgingStudy, error) {
-	work, engines, err := prepareEngines(c, opts, len(bs), cfg)
-	if err != nil {
+	work, records, stats, err := runModel(bridgingModel, c, opts, bs, cfg)
+	if work == nil {
 		return BridgingStudy{}, err
 	}
-	toPO := work.MaxLevelsToPO()
-	records := make([]BridgingRecord, len(bs))
-	skip, err := resumeDecode(len(bs), cfg.Resume, func(i int, raw json.RawMessage) error {
+	study := bridgingHeader(work, kind, population, sampled)
+	study.Records, study.Stats = records, stats
+	return study, err
+}
+
+// runModel is the campaign runner of both fault models. It returns the
+// working circuit (nil when the campaign could not start) and the
+// index-aligned records of fs, with unreached faults marked skipped,
+// alongside the run's stats and its first fatal error.
+func runModel[F, R any](m faultModel[F, R], c *netlist.Circuit, opts *diffprop.Options, fs []F, cfg CampaignConfig) (*netlist.Circuit, []R, CampaignStats, error) {
+	work, engines, err := prepareEngines(c, opts, len(fs), cfg)
+	if err != nil {
+		return nil, nil, CampaignStats{}, err
+	}
+	d := distancesOf(work)
+	records := make([]R, len(fs))
+	skip, err := resumeDecode(len(fs), cfg.Resume, func(i int, raw json.RawMessage) error {
 		return json.Unmarshal(raw, &records[i])
 	})
 	if err != nil {
-		return BridgingStudy{}, err
+		return nil, nil, CampaignStats{}, err
 	}
 	fb := new(fallback)
-	instr := newCampaignInstr(cfg, "bridging "+work.Name, len(bs), func(i int) string {
-		return bs[i].Describe(work)
+	instr := newCampaignInstr(cfg, m.kind+" "+work.Name, len(fs), func(i int) string {
+		return m.describe(fs[i], work)
 	})
 	inj := newCampaignInjector(cfg, instr)
 	cal := newCalibrator(cfg, instr)
-	draws := newChaosDraws(inj, len(bs))
-	analyzed := make([]bool, len(bs))
-	stats, runErr := runCampaign(engines, len(bs), cfg, skip, nil, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
-		rec, outcome := analyzeBridging(e, bs[i], toPO, fb, draws.hook(e, i), instr.ladderHook(w, i))
-		records[i] = rec
-		analyzed[i] = true
-		if cfg.Checkpoint != nil {
-			if err := cfg.Checkpoint.Append(i, rec); err != nil {
-				return outcome, err
-			}
+	draws := newChaosDraws(inj, len(fs))
+	analyzed := make([]bool, len(fs))
+	persist := func(i int) error {
+		if cfg.Checkpoint == nil {
+			return nil
 		}
-		return outcome, nil
+		return cfg.Checkpoint.Append(i, records[i])
+	}
+	var units *siteUnits
+	if m.unit != nil {
+		units = newSiteUnits(len(fs), func(i int) int {
+			return m.unitSite(work, fs[i])
+		}, func(e *diffprop.Engine, w int, idx []int) (bool, error) {
+			// A fault with a chaos injection keeps its per-fault semantics.
+			if draws.any(e, idx) {
+				return false, nil
+			}
+			recs, ok := m.unit(e, fs, idx, d)
+			if !ok {
+				return false, nil
+			}
+			// Every record of the unit is kept before the first append
+			// can fail and abort the campaign.
+			for k, i := range idx {
+				records[i], analyzed[i] = recs[k], true
+			}
+			for _, i := range idx {
+				if err := persist(i); err != nil {
+					return true, err
+				}
+			}
+			return true, nil
+		})
+	}
+	stats, runErr := runCampaign(engines, len(fs), cfg, skip, units, instr, inj, cal, func(e *diffprop.Engine, w, i int) (faultOutcome, error) {
+		rec, outcome := analyze(m, e, fs[i], d, fb, draws.hook(e, i), instr.ladderHook(w, i))
+		records[i], analyzed[i] = rec, true
+		return outcome, persist(i)
 	})
 	for i := range records {
 		if !analyzed[i] && (skip == nil || !skip[i]) {
-			records[i] = BridgingRecord{Fault: bs[i], Skipped: true}
+			records[i] = m.skipped(fs[i])
 		}
 	}
-	study := bridgingHeader(work, kind, population, sampled)
-	study.Records = records
-	study.Stats = stats
-	return study, runErr
+	return work, records, stats, runErr
 }

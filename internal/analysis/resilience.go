@@ -83,12 +83,12 @@ func budgetAbort(r any) bool {
 	return ok && (errors.Is(err, bdd.ErrBudget) || errors.Is(err, bdd.ErrNodeLimit))
 }
 
-// tryStuckAtRecord runs the exact analysis, converting an escaping panic
-// into an error after restoring the engine (which runs the ladder's GC
-// rung). hook, when non-nil, runs inside the recover scope before
-// the analysis — the chaos harness's per-fault seam (injected latency,
-// forced aborts, worker panics); nil in normal operation.
-func tryStuckAtRecord(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, hook func()) (rec StuckAtRecord, budget bool, errMsg string) {
+// tryRecord runs the exact analysis, converting an escaping panic into
+// an error after restoring the engine (which runs the ladder's GC rung).
+// hook, when non-nil, runs inside the recover scope before the analysis
+// — the chaos harness's per-fault seam (injected latency, forced aborts,
+// worker panics); nil in normal operation.
+func tryRecord[F, R any](m faultModel[F, R], e *diffprop.Engine, f F, d distances, hook func()) (rec R, budget bool, errMsg string) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -104,40 +104,20 @@ func tryStuckAtRecord(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, 
 	if hook != nil {
 		hook()
 	}
-	return stuckAtRecord(e, f, toPO, levels), false, ""
+	return m.exact(e, f, d), false, ""
 }
 
-// tryBridgingRecord is the bridging counterpart of tryStuckAtRecord.
-func tryBridgingRecord(e *diffprop.Engine, b faults.Bridging, toPO []int, hook func()) (rec BridgingRecord, budget bool, errMsg string) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		e.Recover()
-		if budgetAbort(r) {
-			budget = true
-			return
-		}
-		errMsg = panicMessage(r)
-	}()
-	if hook != nil {
-		hook()
-	}
-	return bridgingRecord(e, b, toPO), false, ""
-}
-
-// analyzeStuckAt produces the record for one stuck-at fault: exact when
-// the analysis completes, a simulation estimate when it blows its budget,
-// an error record when it panics. Shared by the serial and work-stealing
-// runners. blown, when non-nil, observes each budget/node-limit abort
-// with the attempt number (1 = first, 2 = relaxed retry) and the ops
-// charged at abort — the flight recorder's ladder seam; nil (no
-// allocation) in normal unobserved operation.
-func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb *fallback, hook func(), blown func(attempt int, ops int64)) (StuckAtRecord, faultOutcome) {
-	rec, budget, errMsg := tryStuckAtRecord(e, f, toPO, levels, hook)
+// analyze produces the record for one fault: exact when the analysis
+// completes, a simulation estimate when it blows its budget, an error
+// record when it panics. Shared by the serial and work-stealing runners
+// of both fault models. blown, when non-nil, observes each
+// budget/node-limit abort with the attempt number (1 = first, 2 =
+// relaxed retry) and the ops charged at abort — the flight recorder's
+// ladder seam; nil (no allocation) in normal unobserved operation.
+func analyze[F, R any](m faultModel[F, R], e *diffprop.Engine, f F, d distances, fb *fallback, hook func(), blown func(attempt int, ops int64)) (R, faultOutcome) {
+	rec, budget, errMsg := tryRecord(m, e, f, d, hook)
 	if errMsg != "" {
-		return StuckAtRecord{Fault: f, Err: errMsg}, outcomeErrored
+		return m.failed(f, errMsg), outcomeErrored
 	}
 	if !budget {
 		return rec, outcomeExact
@@ -153,10 +133,10 @@ func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb
 	// runs clean and a chaos-rescued record is bit-identical to an
 	// uninjected run.
 	if restore, ok := e.RelaxBudget(); ok {
-		rec, budget, errMsg = tryStuckAtRecord(e, f, toPO, levels, nil)
+		rec, budget, errMsg = tryRecord(m, e, f, d, nil)
 		restore()
 		if errMsg != "" {
-			return StuckAtRecord{Fault: f, Err: errMsg}, outcomeErrored
+			return m.failed(f, errMsg), outcomeErrored
 		}
 		if !budget {
 			return rec, outcomeRescued
@@ -166,28 +146,7 @@ func analyzeStuckAt(e *diffprop.Engine, f faults.StuckAt, toPO, levels []int, fb
 		}
 		outcome = outcomeDegradedAfterRetry
 	}
-	est := fb.get(e)
-	c := e.Circuit
-	dist, lvl := siteDistances(c, f, toPO, levels)
-	fedSite := f.Net
-	if f.IsBranch() {
-		fedSite = f.Gate
-	}
-	// The syndrome bound is still exact: SatFrac counts over the (intact)
-	// good functions without building nodes. Adherence and observability
-	// need the aborted test-set BDD, so they stay unset.
-	return StuckAtRecord{
-		Fault:           f,
-		Detectability:   est.StuckAt(f),
-		UpperBound:      e.StuckAtUpperBound(f),
-		ObservedPOs:     0,
-		POsFed:          len(c.POsFed(fedSite)),
-		MaxLevelsToPO:   dist,
-		LevelFromPI:     lvl,
-		IsPOFault:       !f.IsBranch() && c.IsOutput(f.Net),
-		Approximate:     true,
-		EstimateVectors: est.Vectors(),
-	}, outcome
+	return m.estimate(e, fb.get(e), f, d), outcome
 }
 
 // chaosDraws holds one campaign's per-fault chaos decisions. Each fault's
@@ -277,9 +236,9 @@ func (d *chaosDraws) any(e *diffprop.Engine, idx []int) bool {
 // from one shared analysis under the per-fault budget scaled by their
 // count. ok is false when the analysis aborted or panicked: the engine is
 // recovered, nothing is returned, and the caller analyzes each fault
-// through analyzeStuckAt, whose ladder, degradation and error records are
+// through analyze, whose ladder, degradation and error records are
 // the per-fault ones.
-func tryStuckAtUnit(e *diffprop.Engine, fs []faults.StuckAt, idx []int, toPO, levels []int) (recs []StuckAtRecord, ok bool) {
+func tryStuckAtUnit(e *diffprop.Engine, fs []faults.StuckAt, idx []int, d distances) (recs []StuckAtRecord, ok bool) {
 	budget := e.FaultBudget()
 	n := len(idx)
 	e.SetFaultBudget(budget * int64(n))
@@ -297,62 +256,7 @@ func tryStuckAtUnit(e *diffprop.Engine, fs []faults.StuckAt, idx []int, toPO, le
 	res := e.StuckAtPI(fs[idx[0]].Net, stuck)
 	recs = make([]StuckAtRecord, n)
 	for k, i := range idx {
-		recs[k] = recordStuckAt(e, fs[i], res[k], toPO, levels)
+		recs[k] = recordStuckAt(e, fs[i], res[k], d)
 	}
 	return recs, true
-}
-
-// analyzeBridging is the bridging counterpart of analyzeStuckAt. A budget
-// blow implies the bridge already passed the engine's feedback screen, so
-// the estimator's own screen cannot fire.
-func analyzeBridging(e *diffprop.Engine, b faults.Bridging, toPO []int, fb *fallback, hook func(), blown func(attempt int, ops int64)) (BridgingRecord, faultOutcome) {
-	rec, budget, errMsg := tryBridgingRecord(e, b, toPO, hook)
-	if errMsg != "" {
-		return BridgingRecord{Fault: b, Err: errMsg}, outcomeErrored
-	}
-	if !budget {
-		return rec, outcomeExact
-	}
-	if blown != nil {
-		blown(1, e.LastAbortOps())
-	}
-	outcome := outcomeDegraded
-	if restore, ok := e.RelaxBudget(); ok {
-		rec, budget, errMsg = tryBridgingRecord(e, b, toPO, nil)
-		restore()
-		if errMsg != "" {
-			return BridgingRecord{Fault: b, Err: errMsg}, outcomeErrored
-		}
-		if !budget {
-			return rec, outcomeRescued
-		}
-		if blown != nil {
-			blown(2, e.LastAbortOps())
-		}
-		outcome = outcomeDegradedAfterRetry
-	}
-	est := fb.get(e)
-	c := e.Circuit
-	fed := map[int]bool{}
-	for _, po := range c.POsFed(b.U) {
-		fed[po] = true
-	}
-	for _, po := range c.POsFed(b.V) {
-		fed[po] = true
-	}
-	dist := toPO[b.U]
-	if toPO[b.V] > dist {
-		dist = toPO[b.V]
-	}
-	// The excitation bound |f_u XOR f_v| would need a fresh BDD build, so
-	// it stays unset (AdherenceOK false marks it unusable), as do the
-	// stuck-at classification and observability fields.
-	return BridgingRecord{
-		Fault:           b,
-		Detectability:   est.Bridging(b),
-		POsFed:          len(fed),
-		MaxLevelsToPO:   dist,
-		Approximate:     true,
-		EstimateVectors: est.Vectors(),
-	}, outcome
 }

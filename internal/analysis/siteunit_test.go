@@ -14,7 +14,7 @@ import (
 
 // siteUnitFixture returns a circuit, its collapsed checkpoint faults (the
 // first limit of them, or all when limit is 0) and the per-fault serial
-// reference records, each built by stuckAtRecord on one engine with no
+// reference records, each built by stuckAtModel.exact on one engine with no
 // shared walk involved.
 func siteUnitFixture(t *testing.T, name string, limit int) (*netlist.Circuit, []faults.StuckAt, []StuckAtRecord) {
 	t.Helper()
@@ -31,7 +31,7 @@ func siteUnitFixture(t *testing.T, name string, limit int) (*netlist.Circuit, []
 	toPO, levels := w.MaxLevelsToPO(), w.Levels()
 	ref := make([]StuckAtRecord, len(fs))
 	for i, f := range fs {
-		ref[i] = stuckAtRecord(e, f, toPO, levels)
+		ref[i] = stuckAtModel.exact(e, f, distances{toPO, levels})
 	}
 	return c, fs, ref
 }

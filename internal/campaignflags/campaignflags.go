@@ -65,7 +65,7 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.StringVar(&f.tracePath, "trace", "", "stream one trace event per analyzed fault to this file")
 	fs.StringVar(&f.traceFmt, "traceformat", "jsonl", "trace file format: jsonl, chrome (chrome://tracing)")
 	fs.StringVar(&f.flightPath, "flight", "", "record campaign events in a flight ring and dump them as JSON to this file on exit, panic, checkpoint failure or interrupt (analyze with cmd/obsreport)")
-	fs.IntVar(&f.Shards, "shards", 0, "run campaigns under the crash-tolerant process supervisor: partition each fault set into N shards analyzed by supervised, restartable worker subprocesses; merged results are bit-identical to an in-process run whenever no -budget or -nodelimit fires")
+	fs.IntVar(&f.Shards, "shards", 0, "run campaigns under the crash-tolerant process supervisor: partition each fault set into N shards analyzed by supervised, restartable worker subprocesses; merged results are bit-identical to an in-process run whenever no -budget, -nodelimit or -calibrate bound fires (a calibrated budget is learned from whichever faults finish first)")
 	fs.StringVar(&f.WorkerBinary, "worker-binary", "", "supervisor: the diffprop executable run as shard workers (diffprop defaults to itself; figures requires it with -shards)")
 	fs.StringVar(&f.ShardDir, "shard-dir", "", "supervisor: directory for per-shard checkpoints, resumed when rerun over the same directory (diffprop default <checkpoint>.shards; figures default a temporary directory removed on success)")
 	return f
